@@ -79,12 +79,6 @@ class Status {
   bool IsParseError() const { return code() == StatusCode::kParseError; }
   bool IsBindError() const { return code() == StatusCode::kBindError; }
   bool IsCatalogError() const { return code() == StatusCode::kCatalogError; }
-  bool IsExecutionError() const {
-    return code() == StatusCode::kExecutionError;
-  }
-  bool IsNotImplemented() const {
-    return code() == StatusCode::kNotImplemented;
-  }
   bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
   bool IsTimeout() const { return code() == StatusCode::kTimeout; }
 

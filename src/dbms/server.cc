@@ -56,11 +56,13 @@ Status DatabaseServer::CreateBaseTable(const std::string& table_name,
   std::string key = ToLower(table_name);
   CatalogEntry entry;
   entry.kind = EntryKind::kBase;
+  // Encode and decode the columnar representation at load time: base
+  // tables are what scans and wire transfers touch, and preparing their
+  // chunks and columns here keeps the first query's hot path free of encode
+  // work. The executor reads the columns, so the rows are released; rows()
+  // rebuilds them on demand.
+  table->ReleaseRows();
   entry.stats = ComputeTableStats(*table);
-  // Encode the columnar representation at load time: base tables are what
-  // scans and wire transfers touch, and chunking them here keeps the first
-  // query's hot path free of encode work. Intermediates stay row-only.
-  table->EnsureChunked();
   entry.table = std::move(table);
   std::lock_guard<std::mutex> lock(catalog_mu_);
   if (catalog_.count(key)) {

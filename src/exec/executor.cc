@@ -1,7 +1,8 @@
 #include "src/exec/executor.h"
 
 #include <algorithm>
-#include <functional>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 
@@ -24,12 +25,6 @@ void ComputeTrace::Add(const ComputeTrace& other) {
   sort_rows += other.sort_rows;
   materialized_rows += other.materialized_rows;
   output_rows += other.output_rows;
-}
-
-double ComputeTrace::TotalRows() const {
-  return scan_rows + foreign_rows + filter_input_rows + project_rows +
-         join_build_rows + join_probe_rows + join_output_rows +
-         agg_input_rows + agg_output_rows + sort_rows + materialized_rows;
 }
 
 namespace {
@@ -55,137 +50,391 @@ int64_t MorselCount(size_t n, size_t morsel_rows) {
   return static_cast<int64_t>((n + morsel_rows - 1) / morsel_rows);
 }
 
-/// Runs `fn(begin, end, buf)` over fixed-size morsels of [0, n), each morsel
-/// filling its own output buffer, then concatenates the buffers into `out`
-/// in morsel order. Row order is identical to a serial row-at-a-time loop
-/// for any worker count.
-template <typename MorselFn>
-void MorselParallelAppend(int workers, size_t n, Table* out,
-                          const MorselFn& fn) {
+using RowIds = std::vector<uint32_t>;
+using RowIdsPtr = std::shared_ptr<const RowIds>;
+
+/// An operator's output: a columnar batch, plus the stored table it is
+/// exactly equal to (set by scans only), which ExecutePlan hands back as-is.
+struct Relation {
+  ColumnBatch batch;
+  TablePtr table;
+};
+
+/// Concatenates per-morsel id buffers in morsel order.
+RowIds ConcatMorsels(std::vector<RowIds>* parts) {
+  size_t total = 0;
+  for (const RowIds& p : *parts) total += p.size();
+  RowIds out;
+  out.reserve(total);
+  for (const RowIds& p : *parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+/// Rows `pick[0..n)` of `in`, in that order. Only row-id vectors are built:
+/// each distinct id vector of `in` is composed with `pick` once and shared
+/// by every slice that used it; identity slices take `pick` itself.
+ColumnBatch Pick(const ColumnBatch& in, const RowIdsPtr& pick) {
+  ColumnBatch out;
+  out.num_rows = pick->size();
+  out.columns.reserve(in.columns.size());
+  std::vector<std::pair<const RowIds*, RowIdsPtr>> composed;
+  for (const ColumnSlice& s : in.columns) {
+    ColumnSlice o;
+    o.data = s.data;
+    if (s.ids == nullptr) {
+      o.ids = pick;
+    } else {
+      for (const auto& [from, to] : composed) {
+        if (from == s.ids.get()) o.ids = to;
+      }
+      if (o.ids == nullptr) {
+        auto ids = std::make_shared<RowIds>(pick->size());
+        const RowIds& src = *s.ids;
+        for (size_t i = 0; i < pick->size(); ++i) (*ids)[i] = src[(*pick)[i]];
+        composed.emplace_back(s.ids.get(), ids);
+        o.ids = std::move(ids);
+      }
+    }
+    out.columns.push_back(std::move(o));
+  }
+  return out;
+}
+
+ColumnBatch Pick(const ColumnBatch& in, RowIds pick) {
+  return Pick(in, std::make_shared<const RowIds>(std::move(pick)));
+}
+
+/// Evaluates `expr` over every row of `batch`, morsel by morsel, into one
+/// vector. Lanes are identical for any worker count.
+ColumnVector EvalColumn(const Expr& expr, const ColumnBatch& batch,
+                        int workers) {
+  const size_t n = batch.num_rows;
   const size_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
-  std::vector<std::vector<Row>> buffers(num_morsels);
+  if (num_morsels <= 1) {
+    SelVector sel;
+    SelRange(0, n, &sel);
+    return EvalExprBatch(expr, batch, sel);
+  }
+  std::vector<ColumnVector> parts(num_morsels);
   ParallelFor(workers, n, kMorselRows,
               [&](size_t m, size_t begin, size_t end) {
-                fn(begin, end, &buffers[m]);
+                SelVector sel;
+                SelRange(begin, end, &sel);
+                parts[m] = EvalExprBatch(expr, batch, sel);
               });
-  size_t total = 0;
-  for (const auto& buf : buffers) total += buf.size();
-  out->Reserve(out->num_rows() + total);
-  for (auto& buf : buffers) {
-    for (auto& row : buf) out->AppendRow(std::move(row));
-  }
+  ColumnVector out = std::move(parts[0]);
+  for (size_t m = 1; m < num_morsels; ++m) out.Append(std::move(parts[m]));
+  return out;
 }
 
-/// Serializes the key columns of `row` into `key` (cleared first) as a flat
-/// normalized byte string. Returns false when any key column is NULL (join
-/// keys never match on NULL).
-bool NormalizedJoinKey(const Row& row, const std::vector<int>& key_cols,
-                       std::string* key) {
-  key->clear();
-  for (int k : key_cols) {
-    const Value& v = row[static_cast<size_t>(k)];
-    if (v.is_null()) return false;
-    v.AppendNormalizedKey(key);
-  }
-  return true;
+/// The rows of `batch` where `pred` holds, ascending.
+RowIds SelectRows(const Expr& pred, const ColumnBatch& batch, int workers) {
+  const size_t n = batch.num_rows;
+  std::vector<RowIds> sels((n + kMorselRows - 1) / kMorselRows);
+  ParallelFor(workers, n, kMorselRows,
+              [&](size_t m, size_t begin, size_t end) {
+                SelRange(begin, end, &sels[m]);
+                EvalPredicateBatch(pred, batch, &sels[m]);
+              });
+  return ConcatMorsels(&sels);
 }
 
-/// Columnar variant: reads the key bytes straight from the column chunks
-/// (dictionary codes, RLE runs, typed payloads) without materializing
-/// Values. Byte-identical to the row variant — both delegate to the shared
-/// normalized-key primitives in value.cc.
-bool NormalizedJoinKeyChunked(const ChunkedTable& chunks, size_t row,
-                              const std::vector<int>& key_cols,
-                              std::string* key) {
-  key->clear();
-  for (int k : key_cols) {
-    const ColumnChunk& c = chunks.column(static_cast<size_t>(k));
-    if (c.IsNull(row)) return false;
-    c.AppendNormalizedKey(row, key);
-  }
-  return true;
+/// Every row of one column of `batch`, gathered densely.
+ColumnVector GatherAll(const ColumnBatch& batch, size_t col) {
+  SelVector all;
+  SelRange(0, batch.num_rows, &all);
+  return GatherSlice(batch.columns[col], all.data(), all.size());
 }
 
-/// \brief Hash-partitioned join build table.
-///
-/// Build rows are partitioned by the hash of their normalized key and each
-/// partition's map is built concurrently. The partition a key lands in is a
-/// pure function of the key (never of the worker count), each partition
-/// receives its row indices in ascending original order (morsels are drained
-/// in morsel order), and probes look a key up in exactly one partition — so
-/// match lists, first-occurrence tie order, and the emitted row order are
-/// bit-identical to the old single-threaded single-map build for any
-/// `exec_threads`.
-struct PartitionedJoinTable {
-  using Partition = std::unordered_map<std::string, std::vector<size_t>>;
-
-  size_t num_partitions = 1;
-  std::vector<Partition> parts;
-
-  static size_t PartitionOf(const std::string& key, size_t num_partitions) {
-    return std::hash<std::string>{}(key) % num_partitions;
+Result<Relation> FromTable(TablePtr t) {
+  std::shared_ptr<const Table::Columns> cols = t->columns();
+  if (cols == nullptr) {
+    return Status::Internal("relation rows do not match its schema");
   }
+  Relation rel;
+  rel.batch.num_rows = t->num_rows();
+  rel.batch.columns.reserve(cols->size());
+  for (const ColumnPtr& c : *cols) rel.batch.columns.push_back({c, nullptr});
+  rel.table = std::move(t);
+  return rel;
+}
 
-  const std::vector<size_t>* Find(const std::string& key) const {
-    const Partition& p = parts[PartitionOf(key, num_partitions)];
-    auto it = p.find(key);
-    return it == p.end() ? nullptr : &it->second;
+// ---------------------------------------------------------------------------
+// Join
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kNoGroup = std::numeric_limits<uint32_t>::max();
+
+/// \brief Build side of a hash join, grouped by key: the build rows of key
+/// group g are rows[offsets[g] .. offsets[g + 1]), in ascending order — the
+/// first-occurrence match order a probe emits.
+struct JoinIndex {
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> rows;
+
+  /// Lays out the build rows from each row's group (kNoGroup = NULL key,
+  /// never matches).
+  void Build(const std::vector<uint32_t>& group_of, size_t num_groups) {
+    offsets.assign(num_groups + 1, 0);
+    for (uint32_t g : group_of) {
+      if (g != kNoGroup) ++offsets[g + 1];
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    rows.resize(offsets[num_groups]);
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (size_t i = 0; i < group_of.size(); ++i) {
+      if (group_of[i] != kNoGroup) {
+        rows[fill[group_of[i]]++] = static_cast<uint32_t>(i);
+      }
+    }
   }
 };
 
-PartitionedJoinTable BuildJoinTable(const Table& build,
-                                    const std::vector<int>& build_keys,
-                                    int workers,
-                                    const ChunkedTable* chunks) {
-  const size_t n = build.num_rows();
-  PartitionedJoinTable ht;
-  ht.num_partitions =
-      std::min<size_t>(64, static_cast<size_t>(std::max(1, workers)));
-  ht.parts.resize(ht.num_partitions);
+/// One or two int64-class key columns packed into 128 bits.
+struct PackedKey {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  bool operator==(const PackedKey& o) const { return a == o.a && b == o.b; }
+};
 
-  // Phase 1 (morsel-parallel): serialize every row's normalized key once and
-  // bucket row indices by target partition, per morsel. When the build side
-  // has a columnar mirror (base tables), keys come straight from the chunks.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// \brief Open-addressing (linear probing) map from packed keys to dense
+/// group ids, numbered in first-insertion order.
+class PackedKeyTable {
+ public:
+  explicit PackedKeyTable(size_t max_keys) {
+    size_t cap = 16;
+    while (cap < 2 * max_keys) cap <<= 1;
+    mask_ = cap - 1;
+    keys_.resize(cap);
+    groups_.assign(cap, kNoGroup);
+  }
+
+  uint32_t FindOrInsert(const PackedKey& k) {
+    size_t slot = Slot(k);
+    while (groups_[slot] != kNoGroup) {
+      if (keys_[slot] == k) return groups_[slot];
+      slot = (slot + 1) & mask_;
+    }
+    keys_[slot] = k;
+    groups_[slot] = num_groups_;
+    return num_groups_++;
+  }
+
+  uint32_t Find(const PackedKey& k) const {
+    size_t slot = Slot(k);
+    while (groups_[slot] != kNoGroup) {
+      if (keys_[slot] == k) return groups_[slot];
+      slot = (slot + 1) & mask_;
+    }
+    return kNoGroup;
+  }
+
+  size_t num_groups() const { return num_groups_; }
+
+ private:
+  size_t Slot(const PackedKey& k) const {
+    return static_cast<size_t>(Mix64(k.a ^ Mix64(k.b))) & mask_;
+  }
+
+  size_t mask_ = 0;
+  std::vector<PackedKey> keys_;
+  std::vector<uint32_t> groups_;
+  uint32_t num_groups_ = 0;
+};
+
+/// The join key columns of one side, gathered densely.
+struct KeyColumns {
+  std::vector<ColumnVector> cols;
+
+  bool AllInt64Class() const {
+    for (const ColumnVector& c : cols) {
+      if (c.repr != ColumnVector::Repr::kI64) return false;
+    }
+    return true;
+  }
+  bool AnyNull(size_t i) const {
+    for (const ColumnVector& c : cols) {
+      if (c.nulls[i]) return true;
+    }
+    return false;
+  }
+  /// Valid only when AllInt64Class() and !AnyNull(i).
+  PackedKey Packed(size_t i) const {
+    PackedKey k;
+    k.a = static_cast<uint64_t>(cols[0].i64[i]);
+    if (cols.size() > 1) k.b = static_cast<uint64_t>(cols[1].i64[i]);
+    return k;
+  }
+  /// Serializes row i's key as normalized bytes; false when any key column
+  /// is NULL (join keys never match on NULL).
+  bool Normalized(size_t i, std::string* key) const {
+    key->clear();
+    for (const ColumnVector& c : cols) {
+      if (c.IsNull(i)) return false;
+      c.AppendNormalizedKey(i, key);
+    }
+    return true;
+  }
+};
+
+KeyColumns GatherKeys(const ColumnBatch& batch, const std::vector<int>& keys) {
+  KeyColumns out;
+  out.cols.reserve(keys.size());
+  for (int k : keys) {
+    out.cols.push_back(GatherAll(batch, static_cast<size_t>(k)));
+  }
+  return out;
+}
+
+/// Probes every row of the probe side morsel by morsel: `lookup(i, scratch)`
+/// returns row i's key group (kNoGroup for none). Emits (probe row, build
+/// row) pairs in probe order, build matches ascending.
+template <typename Lookup>
+void ProbeJoin(int workers, size_t n, const JoinIndex& index,
+               const Lookup& lookup, RowIds* probe_ids, RowIds* build_ids) {
   const size_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
-  std::vector<std::string> keys(n);
-  std::vector<std::vector<std::vector<uint32_t>>> morsel_buckets(num_morsels);
+  std::vector<RowIds> probe_parts(num_morsels), build_parts(num_morsels);
   ParallelFor(workers, n, kMorselRows,
               [&](size_t m, size_t begin, size_t end) {
-                auto& buckets = morsel_buckets[m];
-                buckets.resize(ht.num_partitions);
+                std::string scratch;
+                RowIds& pp = probe_parts[m];
+                RowIds& bp = build_parts[m];
                 for (size_t i = begin; i < end; ++i) {
-                  const bool ok =
-                      chunks != nullptr
-                          ? NormalizedJoinKeyChunked(*chunks, i, build_keys,
-                                                     &keys[i])
-                          : NormalizedJoinKey(build.row(i), build_keys,
-                                              &keys[i]);
-                  if (!ok) continue;  // NULL key columns never match
-                  buckets[PartitionedJoinTable::PartitionOf(
-                              keys[i], ht.num_partitions)]
-                      .push_back(static_cast<uint32_t>(i));
-                }
-              });
-
-  // Phase 2 (partition-parallel): each partition drains its buckets in
-  // morsel order, so per-key index lists stay in ascending build-row order —
-  // the serial first-occurrence semantics.
-  ParallelFor(workers, ht.num_partitions, 1,
-              [&](size_t p, size_t /*begin*/, size_t /*end*/) {
-                auto& part = ht.parts[p];
-                size_t total = 0;
-                for (const auto& buckets : morsel_buckets) {
-                  total += buckets[p].size();
-                }
-                part.reserve(total);
-                for (const auto& buckets : morsel_buckets) {
-                  for (uint32_t i : buckets[p]) {
-                    part[keys[i]].push_back(i);
+                  const uint32_t g = lookup(i, &scratch);
+                  if (g == kNoGroup) continue;
+                  for (uint32_t k = index.offsets[g]; k < index.offsets[g + 1];
+                       ++k) {
+                    pp.push_back(static_cast<uint32_t>(i));
+                    bp.push_back(index.rows[k]);
                   }
                 }
               });
-  return ht;
+  *probe_ids = ConcatMorsels(&probe_parts);
+  *build_ids = ConcatMorsels(&build_parts);
 }
+
+/// Hash equi-join on `build` / `probe` key columns. Keys made only of one or
+/// two int64-class columns on both sides are packed into a 128-bit word and
+/// looked up in an open-addressing table; every other key (strings, doubles,
+/// mixed types) is matched on its normalized-key bytes, under which 1 == 1.0
+/// and -0.0 == 0.0 exactly as Value::Compare has it. Both paths group the
+/// build rows by key in first-occurrence order, so they emit the same pairs
+/// in the same order.
+void HashJoin(int workers, const KeyColumns& build, const KeyColumns& probe,
+              size_t build_rows, size_t probe_rows, RowIds* probe_ids,
+              RowIds* build_ids) {
+  JoinIndex index;
+  std::vector<uint32_t> group_of(build_rows, kNoGroup);
+  if (build.cols.size() <= 2 && build.AllInt64Class() &&
+      probe.AllInt64Class()) {
+    PackedKeyTable table(build_rows);
+    for (size_t i = 0; i < build_rows; ++i) {
+      if (!build.AnyNull(i)) group_of[i] = table.FindOrInsert(build.Packed(i));
+    }
+    index.Build(group_of, table.num_groups());
+    ProbeJoin(workers, probe_rows, index,
+              [&](size_t i, std::string*) {
+                return probe.AnyNull(i) ? kNoGroup
+                                        : table.Find(probe.Packed(i));
+              },
+              probe_ids, build_ids);
+    return;
+  }
+  std::unordered_map<std::string, uint32_t> groups;
+  groups.reserve(build_rows);
+  std::string key;
+  for (size_t i = 0; i < build_rows; ++i) {
+    if (!build.Normalized(i, &key)) continue;
+    auto it = groups.try_emplace(key, static_cast<uint32_t>(groups.size()));
+    group_of[i] = it.first->second;
+  }
+  index.Build(group_of, groups.size());
+  ProbeJoin(workers, probe_rows, index,
+            [&](size_t i, std::string* scratch) {
+              if (!probe.Normalized(i, scratch)) return kNoGroup;
+              auto it = groups.find(*scratch);
+              return it == groups.end() ? kNoGroup : it->second;
+            },
+            probe_ids, build_ids);
+}
+
+Result<Relation> ExecJoin(const PlanNode& plan, ExecContext* ctx,
+                          const ColumnBatch& left, const ColumnBatch& right) {
+  ComputeTrace* trace = ctx->trace();
+  const int workers = ctx->exec_threads();
+  RowIds left_ids, right_ids;
+
+  if (plan.left_keys.empty()) {
+    // Cross product (kept for completeness; the planners avoid it).
+    trace->join_build_rows += static_cast<double>(right.num_rows);
+    trace->join_probe_rows += static_cast<double>(left.num_rows);
+    if (OperatorStats* s = ProfCurrent(ctx)) {
+      s->build_rows = static_cast<double>(right.num_rows);
+      s->probe_rows = static_cast<double>(left.num_rows);
+      s->batches = MorselCount(left.num_rows, kMorselRows);
+    }
+    const size_t num_morsels = (left.num_rows + kMorselRows - 1) / kMorselRows;
+    std::vector<RowIds> lparts(num_morsels), rparts(num_morsels);
+    ParallelFor(workers, left.num_rows, kMorselRows,
+                [&](size_t m, size_t begin, size_t end) {
+                  for (size_t i = begin; i < end; ++i) {
+                    for (size_t j = 0; j < right.num_rows; ++j) {
+                      lparts[m].push_back(static_cast<uint32_t>(i));
+                      rparts[m].push_back(static_cast<uint32_t>(j));
+                    }
+                  }
+                });
+    left_ids = ConcatMorsels(&lparts);
+    right_ids = ConcatMorsels(&rparts);
+  } else {
+    // Hash join; build on the smaller input, probe with the larger, emitting
+    // rows in (left || right) schema order either way.
+    const bool build_right = right.num_rows <= left.num_rows;
+    const ColumnBatch& build = build_right ? right : left;
+    const ColumnBatch& probe = build_right ? left : right;
+    trace->join_build_rows += static_cast<double>(build.num_rows);
+    trace->join_probe_rows += static_cast<double>(probe.num_rows);
+    if (OperatorStats* s = ProfCurrent(ctx)) {
+      s->build_rows = static_cast<double>(build.num_rows);
+      s->probe_rows = static_cast<double>(probe.num_rows);
+      s->batches = MorselCount(probe.num_rows, kMorselRows);
+    }
+    const KeyColumns build_keys = GatherKeys(
+        build, build_right ? plan.right_keys : plan.left_keys);
+    const KeyColumns probe_keys = GatherKeys(
+        probe, build_right ? plan.left_keys : plan.right_keys);
+    RowIds probe_ids, build_ids;
+    HashJoin(workers, build_keys, probe_keys, build.num_rows, probe.num_rows,
+             &probe_ids, &build_ids);
+    left_ids = std::move(build_right ? probe_ids : build_ids);
+    right_ids = std::move(build_right ? build_ids : probe_ids);
+  }
+
+  // The output is two row-id vectors over the inputs' columns; values are
+  // gathered only when a later operator reads them.
+  ColumnBatch joined = Pick(left, std::move(left_ids));
+  ColumnBatch rhs = Pick(right, std::move(right_ids));
+  for (ColumnSlice& s : rhs.columns) joined.columns.push_back(std::move(s));
+  if (plan.residual != nullptr) {
+    RowIds keep = SelectRows(*plan.residual, joined, workers);
+    if (keep.size() != joined.num_rows) joined = Pick(joined, std::move(keep));
+  }
+  trace->join_output_rows += static_cast<double>(joined.num_rows);
+  return Relation{std::move(joined), nullptr};
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate
+// ---------------------------------------------------------------------------
 
 /// One aggregate's running state.
 struct AggState {
@@ -195,6 +444,41 @@ struct AggState {
   int64_t count = 0;
   Value min = Value::Null(TypeId::kInt64);
   Value max = Value::Null(TypeId::kInt64);
+
+  /// Folds lane `i` of an evaluated argument (`kind` is not COUNT(*)).
+  void Fold(AggKind kind, const ColumnVector& v, size_t i) {
+    if (v.IsNull(i)) return;  // SQL aggregates skip NULLs
+    ++count;
+    switch (kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        if (v.repr == ColumnVector::Repr::kF64) {
+          int_sum = false;
+          sum += v.f64[i];
+        } else if (v.repr == ColumnVector::Repr::kI64) {
+          sum += static_cast<double>(v.i64[i]);
+          isum += v.i64[i];
+        } else {
+          const Value x = v.GetValue(i);
+          if (x.type() == TypeId::kDouble) int_sum = false;
+          sum += x.AsDouble();
+          isum += x.type() == TypeId::kDouble ? 0 : x.int64_value();
+        }
+        break;
+      case AggKind::kMin: {
+        Value x = v.GetValue(i);
+        if (min.is_null() || x.Compare(min) < 0) min = std::move(x);
+        break;
+      }
+      case AggKind::kMax: {
+        Value x = v.GetValue(i);
+        if (max.is_null() || x.Compare(max) > 0) max = std::move(x);
+        break;
+      }
+      default:
+        break;
+    }
+  }
 
   /// Folds a later partition's state into this one. Merge order is fixed
   /// (partition order), keeping double summation associativity — and thus
@@ -223,162 +507,41 @@ struct GroupEntry {
 
 using GroupMap = std::unordered_map<std::string, GroupEntry>;
 
-/// Moves `cand` into `buf`, keeping only rows passing `residual` (nullptr =
-/// keep all). One EvalPredicateBatch sweep per morsel instead of a scalar
-/// EvalPredicate per joined row, so a residual's typed inner loops amortize
-/// over the whole candidate batch. Selection semantics are identical to the
-/// scalar path by the batch evaluator's contract, and morsel boundaries are
-/// unchanged — output order and traces stay bit-identical.
-void AppendResidualFiltered(const Expr* residual, std::vector<Row>* cand,
-                            std::vector<Row>* buf) {
-  if (residual == nullptr) {
-    for (Row& r : *cand) buf->push_back(std::move(r));
-    cand->clear();
-    return;
+/// The aggregate's output value for one group.
+Value AggResult(const ExprPtr& agg, const AggState& st) {
+  switch (agg->agg_kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      return Value::Int64(st.count);
+    case AggKind::kSum:
+      if (st.count == 0) return Value::Null(InferType(agg));
+      return st.int_sum ? Value::Int64(st.isum) : Value::Double(st.sum);
+    case AggKind::kAvg:
+      if (st.count == 0) return Value::Null(TypeId::kDouble);
+      return Value::Double(st.sum / static_cast<double>(st.count));
+    case AggKind::kMin:
+      // An all-NULL (or empty) group yields a NULL of the aggregate's
+      // inferred type, not the AggState's kInt64 placeholder.
+      return st.min.is_null() ? Value::Null(InferType(agg)) : st.min;
+    case AggKind::kMax:
+      return st.max.is_null() ? Value::Null(InferType(agg)) : st.max;
   }
-  SelVector sel;
-  SelRange(0, cand->size(), &sel);
-  EvalPredicateBatch(*residual, *cand, &sel);
-  for (uint32_t idx : sel) buf->push_back(std::move((*cand)[idx]));
-  cand->clear();
+  return Value::Null(TypeId::kInt64);
 }
 
-Result<TablePtr> ExecJoin(const PlanNode& plan, ExecContext* ctx,
-                          TablePtr left, TablePtr right) {
+Result<Relation> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
+                               const ColumnBatch& input) {
   ComputeTrace* trace = ctx->trace();
   const int workers = ctx->exec_threads();
-  Schema out_schema = plan.output_schema;
-  auto out = std::make_shared<Table>(out_schema);
-
-  if (plan.left_keys.empty()) {
-    // Cross product (kept for completeness; the planners avoid it).
-    trace->join_build_rows += static_cast<double>(right->num_rows());
-    trace->join_probe_rows += static_cast<double>(left->num_rows());
-    if (OperatorStats* s = ProfCurrent(ctx)) {
-      s->build_rows = static_cast<double>(right->num_rows());
-      s->probe_rows = static_cast<double>(left->num_rows());
-      s->batches = MorselCount(left->num_rows(), kMorselRows);
-    }
-    MorselParallelAppend(
-        workers, left->num_rows(), out.get(),
-        [&](size_t begin, size_t end, std::vector<Row>* buf) {
-          std::vector<Row> cand;
-          for (size_t i = begin; i < end; ++i) {
-            const Row& lr = left->row(i);
-            for (const auto& rr : right->rows()) {
-              Row row;
-              row.reserve(lr.size() + rr.size());
-              row.insert(row.end(), lr.begin(), lr.end());
-              row.insert(row.end(), rr.begin(), rr.end());
-              cand.push_back(std::move(row));
-            }
-          }
-          AppendResidualFiltered(plan.residual.get(), &cand, buf);
-        });
-    trace->join_output_rows += static_cast<double>(out->num_rows());
-    return out;
-  }
-
-  // Hash join; build on the smaller input, probe with the larger, emitting
-  // rows in (left || right) schema order either way. The build side keys the
-  // table on normalized key bytes — one serialization per row instead of
-  // hashing and comparing vector<Value> on every probe.
-  bool build_right = right->num_rows() <= left->num_rows();
-  const Table& build = build_right ? *right : *left;
-  const Table& probe = build_right ? *left : *right;
-  const std::vector<int>& build_keys =
-      build_right ? plan.right_keys : plan.left_keys;
-  const std::vector<int>& probe_keys =
-      build_right ? plan.left_keys : plan.right_keys;
-
-  trace->join_build_rows += static_cast<double>(build.num_rows());
-  trace->join_probe_rows += static_cast<double>(probe.num_rows());
+  const size_t n = input.num_rows;
+  trace->agg_input_rows += static_cast<double>(n);
   if (OperatorStats* s = ProfCurrent(ctx)) {
-    s->build_rows = static_cast<double>(build.num_rows());
-    s->probe_rows = static_cast<double>(probe.num_rows());
-    s->batches = MorselCount(probe.num_rows(), kMorselRows);
-  }
-
-  // Columnar mirrors (present on base tables, encoded at load time) feed
-  // key extraction directly; the shared_ptrs keep them alive across the
-  // parallel regions.
-  const std::shared_ptr<const ChunkedTable> build_chunks = build.chunked();
-  const std::shared_ptr<const ChunkedTable> probe_chunks = probe.chunked();
-  const ChunkedTable* pc = probe_chunks.get();
-
-  const PartitionedJoinTable ht =
-      BuildJoinTable(build, build_keys, workers, build_chunks.get());
-
-  // Probe runs per-morsel; the partitioned build table is shared read-only.
-  // Each morsel first extracts all its probe keys in one batch pass (one
-  // normalized-key sweep over rows or chunks), then probes.
-  MorselParallelAppend(
-      workers, probe.num_rows(), out.get(),
-      [&](size_t begin, size_t end, std::vector<Row>* buf) {
-        const size_t m = end - begin;
-        std::vector<std::string> keys(m);
-        std::vector<uint8_t> valid(m);
-        for (size_t i = begin; i < end; ++i) {
-          valid[i - begin] =
-              pc != nullptr
-                  ? NormalizedJoinKeyChunked(*pc, i, probe_keys,
-                                             &keys[i - begin])
-                  : NormalizedJoinKey(probe.row(i), probe_keys,
-                                      &keys[i - begin]);
-        }
-        std::vector<Row> cand;
-        for (size_t i = begin; i < end; ++i) {
-          if (!valid[i - begin]) continue;
-          const std::vector<size_t>* matches = ht.Find(keys[i - begin]);
-          if (matches == nullptr) continue;
-          for (size_t j : *matches) {
-            const Row& lr = build_right ? probe.row(i) : build.row(j);
-            const Row& rr = build_right ? build.row(j) : probe.row(i);
-            Row row;
-            row.reserve(lr.size() + rr.size());
-            row.insert(row.end(), lr.begin(), lr.end());
-            row.insert(row.end(), rr.begin(), rr.end());
-            cand.push_back(std::move(row));
-          }
-        }
-        AppendResidualFiltered(plan.residual.get(), &cand, buf);
-      });
-  trace->join_output_rows += static_cast<double>(out->num_rows());
-  return out;
-}
-
-Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
-                               TablePtr input) {
-  ComputeTrace* trace = ctx->trace();
-  const int workers = ctx->exec_threads();
-  trace->agg_input_rows += static_cast<double>(input->num_rows());
-  if (OperatorStats* s = ProfCurrent(ctx)) {
-    s->input_rows = static_cast<double>(input->num_rows());
-    s->batches = MorselCount(input->num_rows(), kAggMorselRows);
+    s->input_rows = static_cast<double>(n);
+    s->batches = MorselCount(n, kAggMorselRows);
   }
 
   const size_t nkeys = plan.group_keys.size();
   const size_t naggs = plan.aggregates.size();
-  const size_t n = input->num_rows();
-
-  // Code-space group keys: when the input has a columnar mirror and every
-  // group key is a plain column reference, normalized key bytes come
-  // straight from the chunks (dictionary codes / RLE runs / typed payloads)
-  // and the representative key values materialize only when a group is
-  // first seen — identical values, since the representative is always the
-  // group's first row either way.
-  const std::shared_ptr<const ChunkedTable> chunks_sp = input->chunked();
-  const ChunkedTable* chunks = chunks_sp.get();
-  bool chunked_keys = chunks != nullptr && nkeys > 0;
-  if (chunked_keys) {
-    for (const auto& g : plan.group_keys) {
-      if (g->kind != ExprKind::kColumnRef || g->column_index < 0 ||
-          static_cast<size_t>(g->column_index) >= chunks->num_columns()) {
-        chunked_keys = false;
-        break;
-      }
-    }
-  }
 
   // Partial aggregation over fixed row ranges, merged in range order. The
   // range cut depends only on n, so accumulation order — and with it every
@@ -394,69 +557,39 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
 
   ParallelFor(workers, n, kAggMorselRows, [&](size_t part, size_t begin,
                                               size_t end) {
+    SelVector sel;
+    SelRange(begin, end, &sel);
+    // Group keys and aggregate arguments are evaluated a range at a time;
+    // key bytes come straight from the typed lanes and the representative
+    // key values are boxed only when a group is first seen.
+    std::vector<ColumnVector> keys(nkeys);
+    for (size_t k = 0; k < nkeys; ++k) {
+      keys[k] = EvalExprBatch(*plan.group_keys[k], input, sel);
+    }
+    std::vector<ColumnVector> args(naggs);
+    for (size_t a = 0; a < naggs; ++a) {
+      if (plan.aggregates[a]->agg_kind != AggKind::kCountStar) {
+        args[a] = EvalExprBatch(*plan.aggregates[a]->children[0], input, sel);
+      }
+    }
     GroupMap& groups = partials[part];
     std::string norm;
-    for (size_t r = begin; r < end; ++r) {
-      const Row& row = input->row(r);
+    for (size_t i = 0; i < sel.size(); ++i) {
       norm.clear();
-      GroupMap::iterator it;
-      if (chunked_keys) {
-        for (const auto& g : plan.group_keys) {
-          chunks->column(static_cast<size_t>(g->column_index))
-              .AppendNormalizedKey(r, &norm);
-        }
-        auto res = groups.try_emplace(norm);
-        it = res.first;
-        if (res.second) {
-          Row key_vals;
-          key_vals.reserve(nkeys);
-          for (const auto& g : plan.group_keys) {
-            key_vals.push_back(
-                chunks->column(static_cast<size_t>(g->column_index))
-                    .GetValue(r));
-          }
-          it->second.key = std::move(key_vals);
-          it->second.states.resize(naggs);
-        }
-      } else {
-        Row key_vals;
-        key_vals.reserve(nkeys);
-        for (const auto& g : plan.group_keys) {
-          key_vals.push_back(EvalExpr(*g, row));
-          key_vals.back().AppendNormalizedKey(&norm);
-        }
-        auto res = groups.try_emplace(norm);
-        it = res.first;
-        if (res.second) {
-          it->second.key = std::move(key_vals);
-          it->second.states.resize(naggs);
-        }
+      for (const ColumnVector& k : keys) k.AppendNormalizedKey(i, &norm);
+      auto [it, inserted] = groups.try_emplace(norm);
+      GroupEntry& entry = it->second;
+      if (inserted) {
+        entry.key.reserve(nkeys);
+        for (const ColumnVector& k : keys) entry.key.push_back(k.GetValue(i));
+        entry.states.resize(naggs);
       }
       for (size_t a = 0; a < naggs; ++a) {
-        const Expr& agg = *plan.aggregates[a];
-        AggState& st = it->second.states[a];
-        if (agg.agg_kind == AggKind::kCountStar) {
-          ++st.count;
-          continue;
-        }
-        Value v = EvalExpr(*agg.children[0], row);
-        if (v.is_null()) continue;  // SQL aggregates skip NULLs
-        ++st.count;
-        switch (agg.agg_kind) {
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            if (v.type() == TypeId::kDouble) st.int_sum = false;
-            st.sum += v.AsDouble();
-            st.isum += v.type() == TypeId::kDouble ? 0 : v.int64_value();
-            break;
-          case AggKind::kMin:
-            if (st.min.is_null() || v.Compare(st.min) < 0) st.min = v;
-            break;
-          case AggKind::kMax:
-            if (st.max.is_null() || v.Compare(st.max) > 0) st.max = v;
-            break;
-          default:
-            break;
+        const AggKind kind = plan.aggregates[a]->agg_kind;
+        if (kind == AggKind::kCountStar) {
+          ++entry.states[a].count;
+        } else {
+          entry.states[a].Fold(kind, args[a], i);
         }
       }
     }
@@ -479,65 +612,74 @@ Result<TablePtr> ExecAggregate(const PlanNode& plan, ExecContext* ctx,
     }
   }
 
-  auto out = std::make_shared<Table>(plan.output_schema);
-  out->Reserve(merged.size());
+  std::vector<std::vector<Value>> out_cols(nkeys + naggs);
+  for (auto& col : out_cols) col.reserve(merged.size());
   for (auto& [key, entry] : merged) {
-    Row row = std::move(entry.key);
-    row.reserve(nkeys + naggs);
-    for (size_t a = 0; a < naggs; ++a) {
-      const Expr& agg = *plan.aggregates[a];
-      const AggState& st = entry.states[a];
-      switch (agg.agg_kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          row.push_back(Value::Int64(st.count));
-          break;
-        case AggKind::kSum:
-          if (st.count == 0) {
-            row.push_back(Value::Null(InferType(plan.aggregates[a])));
-          } else if (st.int_sum) {
-            row.push_back(Value::Int64(st.isum));
-          } else {
-            row.push_back(Value::Double(st.sum));
-          }
-          break;
-        case AggKind::kAvg:
-          if (st.count == 0) {
-            row.push_back(Value::Null(TypeId::kDouble));
-          } else {
-            row.push_back(
-                Value::Double(st.sum / static_cast<double>(st.count)));
-          }
-          break;
-        case AggKind::kMin:
-          // An all-NULL (or empty) group yields a NULL of the aggregate's
-          // inferred type, not the AggState's kInt64 placeholder.
-          if (st.min.is_null()) {
-            row.push_back(Value::Null(InferType(plan.aggregates[a])));
-          } else {
-            row.push_back(st.min);
-          }
-          break;
-        case AggKind::kMax:
-          if (st.max.is_null()) {
-            row.push_back(Value::Null(InferType(plan.aggregates[a])));
-          } else {
-            row.push_back(st.max);
-          }
-          break;
-      }
+    for (size_t k = 0; k < nkeys; ++k) {
+      out_cols[k].push_back(std::move(entry.key[k]));
     }
-    out->AppendRow(std::move(row));
+    for (size_t a = 0; a < naggs; ++a) {
+      out_cols[nkeys + a].push_back(
+          AggResult(plan.aggregates[a], entry.states[a]));
+    }
   }
-  trace->agg_output_rows += static_cast<double>(out->num_rows());
+  Relation out;
+  out.batch.num_rows = merged.size();
+  for (auto& col : out_cols) {
+    out.batch.columns.push_back(
+        {std::make_shared<const ColumnVector>(
+             ColumnVector::FromValues(std::move(col))),
+         nullptr});
+  }
+  trace->agg_output_rows += static_cast<double>(out.batch.num_rows);
   return out;
 }
 
-/// The unprofiled executor body; ExecutePlan wraps it with the per-operator
-/// profiling hook. Child recursion goes back through ExecutePlan so every
-/// node gets its own record.
-Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
+// ---------------------------------------------------------------------------
+// Sort / Top-N
+// ---------------------------------------------------------------------------
+
+constexpr size_t kFullSort = std::numeric_limits<size_t>::max();
+
+/// The row order of `batch` under `sort_keys`: a stable sort of the whole
+/// input (`limit` = kFullSort), or — for Top-N — the first `limit` rows of a
+/// partial sort. The comparator and algorithms are those of sorting the
+/// rows themselves, so ties land exactly where they would.
+RowIds SortOrder(const ColumnBatch& batch,
+                 const std::vector<std::pair<int, bool>>& sort_keys,
+                 size_t limit) {
+  std::vector<ColumnVector> keys;
+  keys.reserve(sort_keys.size());
+  for (const auto& [idx, desc] : sort_keys) {
+    keys.push_back(GatherAll(batch, static_cast<size_t>(idx)));
+  }
+  RowIds order(batch.num_rows);
+  std::iota(order.begin(), order.end(), 0u);
+  auto less = [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const int c = keys[k].CompareLanes(a, keys[k], b);
+      if (c != 0) return sort_keys[k].second ? c > 0 : c < 0;
+    }
+    return false;
+  };
+  if (limit == kFullSort) {
+    std::stable_sort(order.begin(), order.end(), less);
+  } else {
+    std::partial_sort(order.begin(), order.begin() + static_cast<long>(limit),
+                      order.end(), less);
+    order.resize(limit);
+  }
+  return order;
+}
+
+Result<Relation> ExecNode(const PlanNode& plan, ExecContext* ctx);
+
+/// The unprofiled operator body; ExecNode wraps it with the per-operator
+/// profiling hook. Child recursion goes back through ExecNode so every node
+/// gets its own record.
+Result<Relation> ExecNodeBody(const PlanNode& plan, ExecContext* ctx) {
   ComputeTrace* trace = ctx->trace();
+  const int workers = ctx->exec_threads();
   switch (plan.kind) {
     case PlanKind::kScan: {
       if (plan.is_foreign) {
@@ -549,97 +691,71 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
                                   ? plan.est_rows * plan.est_width
                                   : -1));
         trace->foreign_rows += static_cast<double>(t->num_rows());
-        return t;
+        return FromTable(std::move(t));
       }
       XDB_ASSIGN_OR_RETURN(TablePtr t, ctx->GetLocalTable(plan.table));
       trace->scan_rows += static_cast<double>(t->num_rows());
-      return t;
+      return FromTable(std::move(t));
     }
     case PlanKind::kFilter: {
-      XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(*plan.children[0], ctx));
-      trace->filter_input_rows += static_cast<double>(in->num_rows());
+      XDB_ASSIGN_OR_RETURN(Relation in, ExecNode(*plan.children[0], ctx));
+      const size_t n = in.batch.num_rows;
+      trace->filter_input_rows += static_cast<double>(n);
       if (OperatorStats* s = ProfCurrent(ctx)) {
-        s->input_rows = static_cast<double>(in->num_rows());
-        s->batches = MorselCount(in->num_rows(), kMorselRows);
+        s->input_rows = static_cast<double>(n);
+        s->batches = MorselCount(n, kMorselRows);
       }
-      auto out = std::make_shared<Table>(plan.output_schema);
-      // Base tables carry a columnar mirror: predicates then gather typed
-      // payloads (or compare dictionary codes) instead of boxing Values.
-      const auto chunks = in->chunked();
-      const RowBlock block{&in->rows(), chunks.get()};
-      MorselParallelAppend(
-          ctx->exec_threads(), in->num_rows(), out.get(),
-          [&](size_t begin, size_t end, std::vector<Row>* buf) {
-            buf->reserve(end - begin);
-            SelVector sel;
-            SelRange(begin, end, &sel);
-            EvalPredicateBatch(*plan.predicate, block, &sel);
-            for (uint32_t i : sel) buf->push_back(in->row(i));
-          });
-      return out;
+      // A selection vector, not a copy: the surviving rows become new row
+      // ids over the same columns.
+      RowIds keep = SelectRows(*plan.predicate, in.batch, workers);
+      if (keep.size() == n) return Relation{std::move(in.batch), nullptr};
+      return Relation{Pick(in.batch, std::move(keep)), nullptr};
     }
     case PlanKind::kProject: {
-      XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(*plan.children[0], ctx));
-      trace->project_rows += static_cast<double>(in->num_rows());
+      XDB_ASSIGN_OR_RETURN(Relation in, ExecNode(*plan.children[0], ctx));
+      const size_t n = in.batch.num_rows;
+      trace->project_rows += static_cast<double>(n);
       if (OperatorStats* s = ProfCurrent(ctx)) {
-        s->input_rows = static_cast<double>(in->num_rows());
-        s->batches = MorselCount(in->num_rows(), kMorselRows);
+        s->input_rows = static_cast<double>(n);
+        s->batches = MorselCount(n, kMorselRows);
       }
-      auto out = std::make_shared<Table>(plan.output_schema);
-      const auto chunks = in->chunked();
-      const RowBlock block{&in->rows(), chunks.get()};
-      MorselParallelAppend(
-          ctx->exec_threads(), in->num_rows(), out.get(),
-          [&](size_t begin, size_t end, std::vector<Row>* buf) {
-            const size_t m = end - begin;
-            buf->reserve(m);
-            SelVector sel;
-            SelRange(begin, end, &sel);
-            // Batch-evaluate each output expression down its column, then
-            // transpose the column vectors into output rows.
-            std::vector<std::vector<Value>> cols(plan.exprs.size());
-            for (size_t c = 0; c < plan.exprs.size(); ++c) {
-              EvalExprBatch(*plan.exprs[c], block, sel, &cols[c]);
-            }
-            for (size_t i = 0; i < m; ++i) {
-              Row projected;
-              projected.reserve(plan.exprs.size());
-              for (size_t c = 0; c < plan.exprs.size(); ++c) {
-                projected.push_back(std::move(cols[c][i]));
-              }
-              buf->push_back(std::move(projected));
-            }
-          });
+      // Column references re-point at the input's slices; computed
+      // expressions keep the evaluator's typed result.
+      Relation out;
+      out.batch.num_rows = n;
+      for (const ExprPtr& e : plan.exprs) {
+        if (e->kind == ExprKind::kColumnRef) {
+          out.batch.columns.push_back(
+              in.batch.columns[static_cast<size_t>(e->column_index)]);
+          continue;
+        }
+        out.batch.columns.push_back(
+            {std::make_shared<const ColumnVector>(
+                 EvalColumn(*e, in.batch, workers)),
+             nullptr});
+      }
       return out;
     }
     case PlanKind::kJoin: {
-      XDB_ASSIGN_OR_RETURN(TablePtr l, ExecutePlan(*plan.children[0], ctx));
-      XDB_ASSIGN_OR_RETURN(TablePtr r, ExecutePlan(*plan.children[1], ctx));
-      return ExecJoin(plan, ctx, std::move(l), std::move(r));
+      XDB_ASSIGN_OR_RETURN(Relation l, ExecNode(*plan.children[0], ctx));
+      XDB_ASSIGN_OR_RETURN(Relation r, ExecNode(*plan.children[1], ctx));
+      return ExecJoin(plan, ctx, l.batch, r.batch);
     }
     case PlanKind::kAggregate: {
-      XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(*plan.children[0], ctx));
-      return ExecAggregate(plan, ctx, std::move(in));
+      XDB_ASSIGN_OR_RETURN(Relation in, ExecNode(*plan.children[0], ctx));
+      return ExecAggregate(plan, ctx, in.batch);
     }
     case PlanKind::kSort: {
-      XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(*plan.children[0], ctx));
-      trace->sort_rows += static_cast<double>(in->num_rows());
+      XDB_ASSIGN_OR_RETURN(Relation in, ExecNode(*plan.children[0], ctx));
+      const size_t n = in.batch.num_rows;
+      trace->sort_rows += static_cast<double>(n);
       if (OperatorStats* s = ProfCurrent(ctx)) {
-        s->input_rows = static_cast<double>(in->num_rows());
+        s->input_rows = static_cast<double>(n);
         s->batches = 1;
       }
-      auto out = std::make_shared<Table>(plan.output_schema, in->rows());
-      std::stable_sort(
-          out->mutable_rows().begin(), out->mutable_rows().end(),
-          [&](const Row& a, const Row& b) {
-            for (const auto& [idx, desc] : plan.sort_keys) {
-              int c = a[static_cast<size_t>(idx)].Compare(
-                  b[static_cast<size_t>(idx)]);
-              if (c != 0) return desc ? c > 0 : c < 0;
-            }
-            return false;
-          });
-      return out;
+      return Relation{
+          Pick(in.batch, SortOrder(in.batch, plan.sort_keys, kFullSort)),
+          nullptr};
     }
     case PlanKind::kLimit: {
       // Top-N fusion: LIMIT directly over a Sort keeps only the N best
@@ -647,42 +763,28 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
       // the pattern TPC-H Q3/Q10 ("ORDER BY revenue DESC LIMIT k") hits.
       const PlanNode& child = *plan.children[0];
       if (child.kind == PlanKind::kSort && plan.limit >= 0) {
-        XDB_ASSIGN_OR_RETURN(TablePtr in,
-                             ExecutePlan(*child.children[0], ctx));
-        trace->sort_rows += static_cast<double>(in->num_rows());
+        XDB_ASSIGN_OR_RETURN(Relation in, ExecNode(*child.children[0], ctx));
+        const size_t n = in.batch.num_rows;
+        trace->sort_rows += static_cast<double>(n);
         if (OperatorStats* s = ProfCurrent(ctx)) {
-          s->input_rows = static_cast<double>(in->num_rows());
+          s->input_rows = static_cast<double>(n);
           s->batches = 1;
         }
-        auto less = [&](const Row& a, const Row& b) {
-          for (const auto& [idx, desc] : child.sort_keys) {
-            int c = a[static_cast<size_t>(idx)].Compare(
-                b[static_cast<size_t>(idx)]);
-            if (c != 0) return desc ? c > 0 : c < 0;
-          }
-          return false;
-        };
-        size_t n = std::min<size_t>(static_cast<size_t>(plan.limit),
-                                    in->num_rows());
-        std::vector<Row> rows = in->rows();
-        std::partial_sort(rows.begin(),
-                          rows.begin() + static_cast<long>(n), rows.end(),
-                          less);
-        rows.resize(n);
-        return std::make_shared<Table>(plan.output_schema,
-                                       std::move(rows));
+        const size_t limit =
+            std::min<size_t>(static_cast<size_t>(plan.limit), n);
+        return Relation{
+            Pick(in.batch, SortOrder(in.batch, child.sort_keys, limit)),
+            nullptr};
       }
-      XDB_ASSIGN_OR_RETURN(TablePtr in, ExecutePlan(child, ctx));
+      XDB_ASSIGN_OR_RETURN(Relation in, ExecNode(child, ctx));
       if (OperatorStats* s = ProfCurrent(ctx)) {
-        s->input_rows = static_cast<double>(in->num_rows());
+        s->input_rows = static_cast<double>(in.batch.num_rows);
         s->batches = 1;
       }
-      auto out = std::make_shared<Table>(plan.output_schema);
-      size_t n = std::min<size_t>(static_cast<size_t>(plan.limit),
-                                  in->num_rows());
-      out->Reserve(n);
-      for (size_t i = 0; i < n; ++i) out->AppendRow(in->row(i));
-      return out;
+      // The first n rows: every slice already maps them.
+      in.batch.num_rows = std::min<size_t>(static_cast<size_t>(plan.limit),
+                                           in.batch.num_rows);
+      return Relation{std::move(in.batch), nullptr};
     }
     case PlanKind::kPlaceholder:
       return Status::Internal(
@@ -692,20 +794,51 @@ Result<TablePtr> ExecutePlanNode(const PlanNode& plan, ExecContext* ctx) {
   return Status::Internal("unknown plan node kind");
 }
 
-}  // namespace
-
-Result<TablePtr> ExecutePlan(const PlanNode& plan, ExecContext* ctx) {
+Result<Relation> ExecNode(const PlanNode& plan, ExecContext* ctx) {
   OperatorProfiler* prof = ctx->profiler();
-  if (prof == nullptr) return ExecutePlanNode(plan, ctx);
+  if (prof == nullptr) return ExecNodeBody(plan, ctx);
   size_t idx = prof->Enter(plan);
-  Result<TablePtr> result = ExecutePlanNode(plan, ctx);
+  Result<Relation> result = ExecNodeBody(plan, ctx);
   OperatorStats& s = prof->stats(idx);
   s.threads = ctx->exec_threads();
   if (result.ok()) {
-    s.output_rows = static_cast<double>((*result)->num_rows());
+    s.output_rows = static_cast<double>(result->batch.num_rows);
   }
   prof->Exit(idx);
   return result;
+}
+
+/// Builds the result table: slices that already are a whole column are
+/// shared; the rest are gathered once each (slices over the same column and
+/// row ids share one gather).
+TablePtr Materialize(const ColumnBatch& batch, const Schema& schema) {
+  Table::Columns cols;
+  cols.reserve(batch.columns.size());
+  for (size_t c = 0; c < batch.columns.size(); ++c) {
+    const ColumnSlice& s = batch.columns[c];
+    if (s.ids == nullptr && s.data->size() == batch.num_rows) {
+      cols.push_back(s.data);
+      continue;
+    }
+    ColumnPtr gathered;
+    for (size_t prev = 0; prev < c && gathered == nullptr; ++prev) {
+      const ColumnSlice& p = batch.columns[prev];
+      if (p.data == s.data && p.ids == s.ids) gathered = cols[prev];
+    }
+    if (gathered == nullptr) {
+      gathered = std::make_shared<const ColumnVector>(GatherAll(batch, c));
+    }
+    cols.push_back(std::move(gathered));
+  }
+  return std::make_shared<Table>(schema, std::move(cols), batch.num_rows);
+}
+
+}  // namespace
+
+Result<TablePtr> ExecutePlan(const PlanNode& plan, ExecContext* ctx) {
+  XDB_ASSIGN_OR_RETURN(Relation rel, ExecNode(plan, ctx));
+  if (rel.table != nullptr) return rel.table;
+  return Materialize(rel.batch, plan.output_schema);
 }
 
 }  // namespace xdb

@@ -30,9 +30,6 @@ struct ComputeTrace {
   double output_rows = 0;        // final result rows
 
   void Add(const ComputeTrace& other);
-
-  /// Total of all row counters; a coarse work measure used in tests.
-  double TotalRows() const;
 };
 
 /// \brief Services a plan needs at execution time.
@@ -71,15 +68,20 @@ class ExecContext {
   virtual OperatorProfiler* profiler() { return nullptr; }
 };
 
-/// \brief Executes a fully bound logical plan, materialising each operator.
+/// \brief Executes a fully bound logical plan, one operator at a time.
 ///
-/// Pipelining is modelled in the timing layer, not here: materialising
-/// per-operator keeps the executor simple and does not change row/byte
-/// accounting, which is what the reproduction's metrics derive from.
-/// Hot operators run morsel-parallel when ctx->exec_threads() > 1; the
-/// morsel layout is fixed, so results, row orders, and all trace counters
-/// are bit-identical to serial execution (DESIGN.md, "Parallel execution
-/// vs. the timing model").
+/// Operators pass columnar batches (typed ColumnVectors plus row-id
+/// vectors) to one another: filters and joins produce row ids, projections
+/// re-point or compute columns, and values are gathered only when an
+/// operator reads them. The result is a column-backed Table whose rows are
+/// built only if a caller asks for them; a bare scan returns the stored
+/// table itself. Pipelining is modelled in the timing layer, not here:
+/// whole-operator batches keep the executor simple and do not change
+/// row/byte accounting, which is what the reproduction's metrics derive
+/// from. Hot operators run morsel-parallel when ctx->exec_threads() > 1;
+/// the morsel layout is fixed, so results, row orders, and all trace
+/// counters are bit-identical to serial execution (DESIGN.md, "Parallel
+/// execution vs. the timing model").
 Result<TablePtr> ExecutePlan(const PlanNode& plan, ExecContext* ctx);
 
 }  // namespace xdb

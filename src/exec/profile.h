@@ -9,7 +9,7 @@
 
 namespace xdb {
 
-/// \brief Per-operator execution statistics recorded by the Volcano
+/// \brief Per-operator execution statistics recorded by the
 /// executor when a profiler is attached (EXPLAIN ANALYZE, benches).
 struct OperatorStats {
   std::string label;  // e.g. "Filter(l_quantity < 24)"

@@ -1,254 +1,104 @@
 #include "src/expr/vector_eval.h"
 
+#include <algorithm>
 #include <cstddef>
+
+#include "src/common/str_util.h"
 
 namespace xdb {
 
 namespace {
 
-/// \brief A batch of evaluated lanes, one per entry of the driving selection
-/// vector.
-///
-/// Numeric lanes live unboxed in payload arrays (`i64` for the int64-payload
-/// type class bool/int64/date, `f64` for double) with a side NULL mask;
-/// dictionary-encoded string columns stay in code space (`dict` + `codes`);
-/// everything else (plain strings, mixed-type columns, fallback results) is
-/// boxed as full Values. `type` is the lane type of non-NULL lanes and
-/// `null_type` the type tag a NULL lane materializes with — kept separately
-/// because the scalar evaluator types NULLs by operator, not by operand
-/// (arithmetic yields Null(kDouble) even over int64 inputs), and bit-identity
-/// includes the NULL's type tag.
-struct Vec {
-  enum class Repr : uint8_t { kI64, kF64, kDict, kBoxed };
-
-  Repr repr = Repr::kBoxed;
-  TypeId type = TypeId::kInt64;
-  TypeId null_type = TypeId::kInt64;
-  bool uniform = false;  // all lanes hold the same value (literal splat)
-  std::vector<uint8_t> nulls;  // 1 = NULL; sized to lanes except kBoxed
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<Value> boxed;
-  const std::vector<std::string>* dict = nullptr;  // kDict: borrowed from
-  std::vector<uint32_t> codes;                     // the source ColumnChunk
-
-  size_t lanes() const {
-    return repr == Repr::kBoxed ? boxed.size() : nulls.size();
-  }
-  bool IsNullLane(size_t i) const {
-    return repr == Repr::kBoxed ? boxed[i].is_null() : nulls[i] != 0;
-  }
-};
-
-/// Materializes lane `i` as a Value, bit-identical to what the scalar
-/// evaluator would have produced for that subtree on that row.
-Value LaneValue(const Vec& v, size_t i) {
-  if (v.repr == Vec::Repr::kBoxed) return v.boxed[i];
-  if (v.nulls[i]) return Value::Null(v.null_type);
-  if (v.repr == Vec::Repr::kF64) return Value::Double(v.f64[i]);
-  if (v.repr == Vec::Repr::kDict) return Value::String((*v.dict)[v.codes[i]]);
-  switch (v.type) {
-    case TypeId::kBool: return Value::Bool(v.i64[i] != 0);
-    case TypeId::kDate: return Value::Date(v.i64[i]);
-    default: return Value::Int64(v.i64[i]);
-  }
-}
+// Short names for the kernels below; Vec is ColumnVector, not a second type.
+using Vec = ColumnVector;
+using Repr = ColumnVector::Repr;
 
 /// Three-valued truth of a lane, matching `!v.is_null() && v.bool_value()`
 /// plus the NULL case. Note Value::bool_value() reads the int64 payload, so a
-/// double or string lane is never TRUE — the f64/dict reprs mirror that quirk
-/// exactly.
+/// double or string lane is never TRUE — the f64/string reprs mirror that
+/// quirk exactly.
 enum class Truth : uint8_t { kFalse, kTrue, kNull };
 
 Truth LaneTruth(const Vec& v, size_t i) {
-  if (v.IsNullLane(i)) return Truth::kNull;
+  if (v.IsNull(i)) return Truth::kNull;
   switch (v.repr) {
-    case Vec::Repr::kI64: return v.i64[i] != 0 ? Truth::kTrue : Truth::kFalse;
-    case Vec::Repr::kF64: return Truth::kFalse;
-    case Vec::Repr::kDict: return Truth::kFalse;
-    case Vec::Repr::kBoxed:
+    case Repr::kI64: return v.i64[i] != 0 ? Truth::kTrue : Truth::kFalse;
+    case Repr::kBoxed:
       return v.boxed[i].bool_value() ? Truth::kTrue : Truth::kFalse;
+    default: return Truth::kFalse;
   }
-  return Truth::kFalse;
 }
 
 bool IsI64Class(TypeId t) {
   return t == TypeId::kBool || t == TypeId::kInt64 || t == TypeId::kDate;
 }
 
-Vec EvalVec(const Expr& expr, const RowBlock& b, const SelVector& sel);
+Vec EvalVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel);
 
-/// Whole-subtree fallback: scalar-evaluates the node per selected row. Any
-/// shape without a typed kernel lands here, which makes batch coverage total.
-Vec EvalVecScalarFallback(const Expr& expr, const RowBlock& b,
+/// Whole-subtree fallback: scalar-evaluates the node per selected row over
+/// the columns it references. Any shape without a typed kernel lands here,
+/// which makes batch coverage total.
+Vec EvalVecScalarFallback(const Expr& expr, const ColumnBatch& b,
                           const SelVector& sel) {
-  const std::vector<Row>& rows = *b.rows;
-  Vec out;
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.reserve(sel.size());
-  for (uint32_t r : sel) out.boxed.push_back(EvalExpr(expr, rows[r]));
-  return out;
+  std::vector<int> refs;
+  CollectColumnIndices(expr, &refs);
+  std::sort(refs.begin(), refs.end());
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  std::vector<Vec> cols;
+  cols.reserve(refs.size());
+  for (int c : refs) {
+    cols.push_back(GatherSlice(b.columns[static_cast<size_t>(c)], sel.data(),
+                               sel.size()));
+  }
+  // A scratch row holding just the referenced columns; the evaluator never
+  // reads the others.
+  Row row(refs.empty() ? 0 : static_cast<size_t>(refs.back()) + 1);
+  std::vector<Value> values;
+  values.reserve(sel.size());
+  for (size_t i = 0; i < sel.size(); ++i) {
+    for (size_t k = 0; k < refs.size(); ++k) {
+      row[static_cast<size_t>(refs[k])] = cols[k].GetValue(i);
+    }
+    values.push_back(EvalExpr(expr, row));
+  }
+  return Vec::FromValues(std::move(values));
 }
 
-/// Gather from the columnar mirror: typed payloads load without per-lane type
-/// checks (the chunk encoder already proved lane uniformity), RLE runs decode
-/// with a forward cursor, dictionary columns stay in code space.
-Vec GatherChunkColumn(const ColumnChunk& chunk, const SelVector& sel) {
-  const size_t n = sel.size();
-  const TypeId t = chunk.type();
-  Vec out;
-  out.type = t;
-  out.null_type = t;
-  switch (chunk.encoding()) {
-    case ColumnEncoding::kPlain: {
-      out.nulls.resize(n);
-      const std::vector<uint8_t>& cn = chunk.null_bytemap();
-      if (t == TypeId::kDouble) {
-        out.repr = Vec::Repr::kF64;
-        out.f64.resize(n);
-        const std::vector<double>& payload = chunk.f64_data();
-        for (size_t i = 0; i < n; ++i) {
-          out.f64[i] = payload[sel[i]];
-          out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-        }
-        return out;
-      }
-      out.repr = Vec::Repr::kI64;
-      out.i64.resize(n);
-      const std::vector<int64_t>& payload = chunk.i64_data();
-      for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = payload[sel[i]];
-        out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-      }
-      return out;
-    }
-    case ColumnEncoding::kRle: {
-      // Null-free by construction; selection vectors are ascending, so one
-      // forward cursor walks the runs (with a reset guard just in case).
-      out.repr = Vec::Repr::kI64;
-      out.nulls.assign(n, 0);
-      out.i64.resize(n);
-      const std::vector<uint32_t>& starts = chunk.run_starts();
-      const std::vector<int64_t>& vals = chunk.run_values();
-      size_t run = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = sel[i];
-        if (i > 0 && r < sel[i - 1]) run = 0;
-        while (run + 1 < starts.size() && starts[run + 1] <= r) ++run;
-        out.i64[i] = vals[run];
-      }
-      return out;
-    }
-    case ColumnEncoding::kFor: {
-      out.repr = Vec::Repr::kI64;
-      out.nulls.resize(n);
-      out.i64.resize(n);
-      const std::vector<uint8_t>& cn = chunk.null_bytemap();
-      const std::vector<uint32_t>& codes = chunk.codes();
-      const uint64_t ref = static_cast<uint64_t>(chunk.for_ref());
-      for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = static_cast<int64_t>(ref + codes[sel[i]]);
-        out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-      }
-      return out;
-    }
-    case ColumnEncoding::kDictionary: {
-      out.repr = Vec::Repr::kDict;
-      out.dict = &chunk.dict();
-      out.nulls.resize(n);
-      out.codes.resize(n);
-      const std::vector<uint8_t>& cn = chunk.null_bytemap();
-      const std::vector<uint32_t>& codes = chunk.codes();
-      for (size_t i = 0; i < n; ++i) {
-        out.codes[i] = codes[sel[i]];
-        out.nulls[i] = cn.empty() ? 0 : cn[sel[i]];
-      }
-      return out;
-    }
-    case ColumnEncoding::kBoxed:
-      break;  // caller falls back to the row gather
-  }
-  out.repr = Vec::Repr::kBoxed;
-  const std::vector<Value>& boxed = chunk.boxed();
-  out.boxed.reserve(n);
-  for (uint32_t r : sel) out.boxed.push_back(boxed[r]);
-  return out;
-}
-
-Vec GatherColumn(const Expr& expr, const RowBlock& b, const SelVector& sel) {
-  const size_t col = static_cast<size_t>(expr.column_index);
-  const TypeId t = expr.column_type;
-  if (b.chunks != nullptr && col < b.chunks->num_columns()) {
-    const ColumnChunk& chunk = b.chunks->column(col);
-    // Plain strings gain nothing over the row gather; everything else does.
-    if (chunk.type() == t && !(chunk.encoding() == ColumnEncoding::kPlain &&
-                               t == TypeId::kString)) {
-      return GatherChunkColumn(chunk, sel);
-    }
-  }
-  const std::vector<Row>& rows = *b.rows;
-  Vec out;
-  out.type = t;
-  out.null_type = t;
-  const size_t n = sel.size();
-  if (IsI64Class(t) || t == TypeId::kDouble) {
-    out.repr = IsI64Class(t) ? Vec::Repr::kI64 : Vec::Repr::kF64;
-    out.nulls.resize(n);
-    auto& payload_i = out.i64;
-    auto& payload_f = out.f64;
-    if (out.repr == Vec::Repr::kI64) payload_i.resize(n);
-    else payload_f.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = rows[sel[i]][col];
-      if (v.type() != t) {
-        // A lane deviating from the declared column type (possible through
-        // expression-valued views) voids the typed layout; re-gather boxed.
-        out = Vec();
-        out.repr = Vec::Repr::kBoxed;
-        out.boxed.reserve(n);
-        for (uint32_t r : sel) out.boxed.push_back(rows[r][col]);
-        return out;
-      }
-      out.nulls[i] = v.is_null() ? 1 : 0;
-      if (out.repr == Vec::Repr::kI64) payload_i[i] = v.int64_value();
-      else payload_f[i] = v.double_value();
-    }
-    return out;
-  }
-  out.repr = Vec::Repr::kBoxed;
-  out.boxed.reserve(n);
-  for (uint32_t r : sel) out.boxed.push_back(rows[r][col]);
-  return out;
+Vec GatherColumn(const Expr& expr, const ColumnBatch& b,
+                 const SelVector& sel) {
+  return GatherSlice(b.columns[static_cast<size_t>(expr.column_index)],
+                     sel.data(), sel.size());
 }
 
 Vec SplatLiteral(const Value& lit, size_t n) {
   Vec out;
   out.uniform = true;
-  if (!lit.is_null() && IsI64Class(lit.type())) {
-    out.repr = Vec::Repr::kI64;
+  if (!lit.is_null()) {
     out.type = out.null_type = lit.type();
     out.nulls.assign(n, 0);
-    out.i64.assign(n, lit.int64_value());
+    if (IsI64Class(lit.type())) {
+      out.repr = Repr::kI64;
+      out.i64.assign(n, lit.int64_value());
+    } else if (lit.type() == TypeId::kDouble) {
+      out.repr = Repr::kF64;
+      out.f64.assign(n, lit.double_value());
+    } else {
+      out.repr = Repr::kStr;
+      out.str.assign(n, lit.string_value());
+    }
     return out;
   }
-  if (!lit.is_null() && lit.type() == TypeId::kDouble) {
-    out.repr = Vec::Repr::kF64;
-    out.type = out.null_type = TypeId::kDouble;
-    out.nulls.assign(n, 0);
-    out.f64.assign(n, lit.double_value());
-    return out;
-  }
-  out.repr = Vec::Repr::kBoxed;
+  out.repr = Repr::kBoxed;
   out.boxed.assign(n, lit);
   return out;
 }
 
 bool IsTypedNumeric(const Vec& v) {
-  return v.repr == Vec::Repr::kI64 || v.repr == Vec::Repr::kF64;
+  return v.repr == Repr::kI64 || v.repr == Repr::kF64;
 }
 
 double LaneAsDouble(const Vec& v, size_t i) {
-  return v.repr == Vec::Repr::kF64 ? v.f64[i]
+  return v.repr == Repr::kF64 ? v.f64[i]
                                    : static_cast<double>(v.i64[i]);
 }
 
@@ -257,15 +107,15 @@ double LaneAsDouble(const Vec& v, size_t i) {
 /// cover (dates, strings, boxed/dict lanes) combine per lane through
 /// EvalBinaryValues itself.
 Vec EvalArithVec(BinaryOp op, const Vec& l, const Vec& r) {
-  const size_t n = l.lanes();
+  const size_t n = l.size();
   Vec out;
   out.null_type = TypeId::kDouble;  // arithmetic NULLs are typed double
   // Integer loop: both int64-class, no date (date +/- has its own result
   // type), and not division (always double).
-  if (l.repr == Vec::Repr::kI64 && r.repr == Vec::Repr::kI64 &&
+  if (l.repr == Repr::kI64 && r.repr == Repr::kI64 &&
       l.type != TypeId::kDate && r.type != TypeId::kDate &&
       op != BinaryOp::kDiv) {
-    out.repr = Vec::Repr::kI64;
+    out.repr = Repr::kI64;
     out.type = TypeId::kInt64;
     out.nulls.resize(n);
     out.i64.resize(n);
@@ -285,11 +135,11 @@ Vec EvalArithVec(BinaryOp op, const Vec& l, const Vec& r) {
   // Double loop: either side double (dates allowed on the int side — scalar
   // widens them with AsDouble), or any op over two doubles, or division.
   if (IsTypedNumeric(l) && IsTypedNumeric(r) &&
-      (l.repr == Vec::Repr::kF64 || r.repr == Vec::Repr::kF64 ||
+      (l.repr == Repr::kF64 || r.repr == Repr::kF64 ||
        op == BinaryOp::kDiv)) {
     // kDiv over two int64-class lanes also lands here (scalar: div is always
     // double); date lanes widen via AsDouble the same way scalar does.
-    out.repr = Vec::Repr::kF64;
+    out.repr = Repr::kF64;
     out.type = TypeId::kDouble;
     out.nulls.resize(n);
     out.f64.resize(n, 0.0);
@@ -311,10 +161,10 @@ Vec EvalArithVec(BinaryOp op, const Vec& l, const Vec& r) {
     }
     return out;
   }
-  out.repr = Vec::Repr::kBoxed;
+  out.repr = Repr::kBoxed;
   out.boxed.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.boxed.push_back(EvalBinaryValues(op, LaneValue(l, i), LaneValue(r, i)));
+    out.boxed.push_back(EvalBinaryValues(op, l.GetValue(i), r.GetValue(i)));
   }
   return out;
 }
@@ -335,14 +185,14 @@ int CmpResult(BinaryOp op, int c) {
 /// widens with AsDouble — both decisions are lane-uniform for typed vectors,
 /// so the loop body is branch-free on type.
 Vec EvalCompareVec(BinaryOp op, const Vec& l, const Vec& r) {
-  const size_t n = l.lanes();
+  const size_t n = l.size();
   Vec out;
-  out.repr = Vec::Repr::kI64;
+  out.repr = Repr::kI64;
   out.type = TypeId::kBool;
   out.null_type = TypeId::kBool;
   out.nulls.resize(n);
   out.i64.resize(n, 0);
-  if (l.repr == Vec::Repr::kI64 && r.repr == Vec::Repr::kI64) {
+  if (l.repr == Repr::kI64 && r.repr == Repr::kI64) {
     for (size_t i = 0; i < n; ++i) {
       if (l.nulls[i] | r.nulls[i]) {
         out.nulls[i] = 1;
@@ -374,13 +224,13 @@ Vec EvalCompareVec(BinaryOp op, const Vec& l, const Vec& r) {
     const Vec* dv = nullptr;
     const Vec* lit = nullptr;
     bool dict_left = false;
-    if (l.repr == Vec::Repr::kDict && r.uniform) {
+    if (l.repr == Repr::kDict && r.uniform) {
       dv = &l; lit = &r; dict_left = true;
-    } else if (r.repr == Vec::Repr::kDict && l.uniform) {
+    } else if (r.repr == Repr::kDict && l.uniform) {
       dv = &r; lit = &l;
     }
-    if (dv != nullptr && n > 0 && !lit->IsNullLane(0)) {
-      const Value litv = LaneValue(*lit, 0);
+    if (dv != nullptr && n > 0 && !lit->IsNull(0)) {
+      const Value litv = lit->GetValue(0);
       const std::vector<std::string>& dict = *dv->dict;
       std::vector<uint8_t> match(dict.size());
       for (size_t k = 0; k < dict.size(); ++k) {
@@ -398,10 +248,23 @@ Vec EvalCompareVec(BinaryOp op, const Vec& l, const Vec& r) {
       return out;
     }
   }
+  // Two string operands (columns or a literal): bytewise compare, the same
+  // verdict Value::Compare gives two strings, without boxing either side.
+  if (l.IsString() && r.IsString()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (l.nulls[i] | r.nulls[i]) {
+        out.nulls[i] = 1;
+        continue;
+      }
+      const int c = l.StrAt(i).compare(r.StrAt(i));
+      out.i64[i] = CmpResult(op, c < 0 ? -1 : (c == 0 ? 0 : 1));
+    }
+    return out;
+  }
   // Boxed/mixed lanes: NULL-check + Value::Compare per lane, exactly the
   // scalar default branch, on the already-evaluated operands.
   for (size_t i = 0; i < n; ++i) {
-    const Value lv = LaneValue(l, i), rv = LaneValue(r, i);
+    const Value lv = l.GetValue(i), rv = r.GetValue(i);
     if (lv.is_null() || rv.is_null()) {
       out.nulls[i] = 1;
       continue;
@@ -415,7 +278,7 @@ Vec EvalCompareVec(BinaryOp op, const Vec& l, const Vec& r) {
 /// evaluated only on lanes the left child did not already decide (non-null
 /// FALSE decides AND; non-null TRUE decides OR), then scattered back.
 /// Lane-wise combination follows the scalar three-valued truth table.
-Vec EvalAndOrVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
+Vec EvalAndOrVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel) {
   const bool is_and = expr.binary_op == BinaryOp::kAnd;
   const size_t n = sel.size();
   Vec left = EvalVec(*expr.children[0], b, sel);
@@ -434,7 +297,7 @@ Vec EvalAndOrVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
   }
 
   Vec out;
-  out.repr = Vec::Repr::kI64;
+  out.repr = Repr::kI64;
   out.type = TypeId::kBool;
   out.null_type = TypeId::kBool;
   out.nulls.assign(n, 0);
@@ -466,26 +329,26 @@ Vec EvalAndOrVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
   return out;
 }
 
-Vec EvalUnaryVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
+Vec EvalUnaryVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel) {
   Vec child = EvalVec(*expr.children[0], b, sel);
-  const size_t n = child.lanes();
+  const size_t n = child.size();
   Vec out;
   switch (expr.unary_op) {
     case UnaryOp::kIsNull:
     case UnaryOp::kIsNotNull: {
       const bool want_null = expr.unary_op == UnaryOp::kIsNull;
-      out.repr = Vec::Repr::kI64;
+      out.repr = Repr::kI64;
       out.type = out.null_type = TypeId::kBool;
       out.nulls.assign(n, 0);
       out.i64.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = child.IsNullLane(i) == want_null ? 1 : 0;
+        out.i64[i] = child.IsNull(i) == want_null ? 1 : 0;
       }
       return out;
     }
     case UnaryOp::kNot:
-      if (child.repr == Vec::Repr::kI64 && child.type == TypeId::kBool) {
-        out.repr = Vec::Repr::kI64;
+      if (child.repr == Repr::kI64 && child.type == TypeId::kBool) {
+        out.repr = Repr::kI64;
         out.type = out.null_type = TypeId::kBool;
         out.nulls = child.nulls;
         out.i64.resize(n);
@@ -496,8 +359,8 @@ Vec EvalUnaryVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
       }
       break;
     case UnaryOp::kNeg:
-      if (child.repr == Vec::Repr::kI64) {
-        out.repr = Vec::Repr::kI64;
+      if (child.repr == Repr::kI64) {
+        out.repr = Repr::kI64;
         out.type = TypeId::kInt64;
         // Scalar kNeg returns a NULL operand unchanged, keeping its type.
         out.null_type = child.null_type;
@@ -508,8 +371,8 @@ Vec EvalUnaryVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
         }
         return out;
       }
-      if (child.repr == Vec::Repr::kF64) {
-        out.repr = Vec::Repr::kF64;
+      if (child.repr == Repr::kF64) {
+        out.repr = Repr::kF64;
         out.type = TypeId::kDouble;
         out.null_type = child.null_type;
         out.nulls = child.nulls;
@@ -521,21 +384,22 @@ Vec EvalUnaryVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
       }
       break;
   }
-  out.repr = Vec::Repr::kBoxed;
+  out.repr = Repr::kBoxed;
   out.boxed.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.boxed.push_back(EvalUnaryValue(expr.unary_op, LaneValue(child, i)));
+    out.boxed.push_back(EvalUnaryValue(expr.unary_op, child.GetValue(i)));
   }
   return out;
 }
 
-Vec EvalBetweenVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
+Vec EvalBetweenVec(const Expr& expr, const ColumnBatch& b,
+                   const SelVector& sel) {
   Vec v = EvalVec(*expr.children[0], b, sel);
   Vec lo = EvalVec(*expr.children[1], b, sel);
   Vec hi = EvalVec(*expr.children[2], b, sel);
-  const size_t n = v.lanes();
+  const size_t n = v.size();
   Vec out;
-  out.repr = Vec::Repr::kI64;
+  out.repr = Repr::kI64;
   out.type = out.null_type = TypeId::kBool;
   out.nulls.resize(n);
   out.i64.resize(n, 0);
@@ -543,9 +407,9 @@ Vec EvalBetweenVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
     // Each bound pair picks int or double comparison exactly as
     // Value::Compare would, decided once per vector pair.
     const bool lo_int =
-        v.repr == Vec::Repr::kI64 && lo.repr == Vec::Repr::kI64;
+        v.repr == Repr::kI64 && lo.repr == Repr::kI64;
     const bool hi_int =
-        v.repr == Vec::Repr::kI64 && hi.repr == Vec::Repr::kI64;
+        v.repr == Repr::kI64 && hi.repr == Repr::kI64;
     for (size_t i = 0; i < n; ++i) {
       if (v.nulls[i] | lo.nulls[i] | hi.nulls[i]) {
         out.nulls[i] = 1;
@@ -560,9 +424,9 @@ Vec EvalBetweenVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
     return out;
   }
   for (size_t i = 0; i < n; ++i) {
-    const Value vv = LaneValue(v, i);
-    const Value lv = LaneValue(lo, i);
-    const Value hv = LaneValue(hi, i);
+    const Value vv = v.GetValue(i);
+    const Value lv = lo.GetValue(i);
+    const Value hv = hi.GetValue(i);
     if (vv.is_null() || lv.is_null() || hv.is_null()) {
       out.nulls[i] = 1;
       continue;
@@ -572,7 +436,111 @@ Vec EvalBetweenVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
   return out;
 }
 
-Vec EvalVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
+/// LIKE against a literal pattern: per lane for plain strings, once per
+/// entry for dictionary columns. Non-string lanes match as the empty string,
+/// as Value::string_value() reads them in the scalar evaluator.
+Vec EvalLikeVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel) {
+  const Expr& pattern = *expr.children[1];
+  if (pattern.kind != ExprKind::kLiteral || pattern.literal.is_null()) {
+    return EvalVecScalarFallback(expr, b, sel);
+  }
+  const std::string& p = pattern.literal.string_value();
+  Vec v = EvalVec(*expr.children[0], b, sel);
+  const size_t n = v.size();
+  Vec out;
+  out.repr = Repr::kI64;
+  out.type = out.null_type = TypeId::kBool;
+  out.nulls.resize(n);
+  out.i64.resize(n, 0);
+  std::vector<uint8_t> dict_match;
+  if (v.repr == Repr::kDict) {
+    dict_match.resize(v.dict->size());
+    for (size_t k = 0; k < dict_match.size(); ++k) {
+      dict_match[k] = LikeMatch((*v.dict)[k], p) ? 1 : 0;
+    }
+  }
+  static const std::string kEmpty;
+  for (size_t i = 0; i < n; ++i) {
+    if (v.IsNull(i)) {
+      out.nulls[i] = 1;
+      continue;
+    }
+    switch (v.repr) {
+      case Repr::kDict:
+        out.i64[i] = dict_match[v.codes[i]];
+        break;
+      case Repr::kStr:
+        out.i64[i] = LikeMatch(v.str[i], p) ? 1 : 0;
+        break;
+      case Repr::kBoxed:
+        out.i64[i] = LikeMatch(v.boxed[i].string_value(), p) ? 1 : 0;
+        break;
+      default:
+        out.i64[i] = LikeMatch(kEmpty, p) ? 1 : 0;
+        break;
+    }
+  }
+  return out;
+}
+
+/// CASE WHEN with the scalar evaluator's laziness: each WHEN is evaluated
+/// only on the rows no earlier WHEN took, and each THEN (and the ELSE) only
+/// on the rows that select it.
+Vec EvalCaseVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel) {
+  const size_t n = sel.size();
+  const size_t pairs =
+      (expr.children.size() - (expr.case_has_else ? 1 : 0)) / 2;
+  std::vector<Value> values(n, Value::Null(TypeId::kString));
+  SelVector rest = sel;
+  std::vector<uint32_t> rest_pos(n);
+  for (size_t i = 0; i < n; ++i) rest_pos[i] = static_cast<uint32_t>(i);
+  auto scatter = [&](const Expr& branch, const SelVector& rows,
+                     const std::vector<uint32_t>& pos) {
+    if (rows.empty()) return;
+    Vec v = EvalVec(branch, b, rows);
+    for (size_t j = 0; j < rows.size(); ++j) values[pos[j]] = v.GetValue(j);
+  };
+  for (size_t k = 0; k < pairs && !rest.empty(); ++k) {
+    Vec cond = EvalVec(*expr.children[2 * k], b, rest);
+    SelVector hit, miss;
+    std::vector<uint32_t> hit_pos, miss_pos;
+    for (size_t i = 0; i < rest.size(); ++i) {
+      const bool take = LaneTruth(cond, i) == Truth::kTrue;
+      (take ? hit : miss).push_back(rest[i]);
+      (take ? hit_pos : miss_pos).push_back(rest_pos[i]);
+    }
+    scatter(*expr.children[2 * k + 1], hit, hit_pos);
+    rest = std::move(miss);
+    rest_pos = std::move(miss_pos);
+  }
+  if (expr.case_has_else) scatter(*expr.children.back(), rest, rest_pos);
+  return Vec::FromValues(std::move(values));
+}
+
+/// EXTRACT(YEAR FROM d) over int64-payload lanes; other shapes go scalar.
+Vec EvalFunctionVec(const Expr& expr, const ColumnBatch& b,
+                    const SelVector& sel) {
+  if (expr.function_name != "extract_year" || expr.children.size() != 1) {
+    return EvalVecScalarFallback(expr, b, sel);
+  }
+  Vec v = EvalVec(*expr.children[0], b, sel);
+  if (v.repr != Repr::kI64) return EvalVecScalarFallback(expr, b, sel);
+  const size_t n = v.size();
+  Vec out;
+  out.repr = Repr::kI64;
+  out.type = out.null_type = TypeId::kInt64;
+  out.nulls = v.nulls;
+  out.i64.resize(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (v.nulls[i]) continue;
+    int y, m, d;
+    CivilFromDays(v.i64[i], &y, &m, &d);
+    out.i64[i] = y;
+  }
+  return out;
+}
+
+Vec EvalVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel) {
   switch (expr.kind) {
     case ExprKind::kColumnRef:
       return GatherColumn(expr, b, sel);
@@ -600,8 +568,14 @@ Vec EvalVec(const Expr& expr, const RowBlock& b, const SelVector& sel) {
       return EvalUnaryVec(expr, b, sel);
     case ExprKind::kBetween:
       return EvalBetweenVec(expr, b, sel);
+    case ExprKind::kLike:
+      return EvalLikeVec(expr, b, sel);
+    case ExprKind::kCaseWhen:
+      return EvalCaseVec(expr, b, sel);
+    case ExprKind::kFunction:
+      return EvalFunctionVec(expr, b, sel);
     default:
-      // LIKE, IN, CASE, functions, (mis-planned) aggregates.
+      // IN lists, (mis-planned) aggregates.
       return EvalVecScalarFallback(expr, b, sel);
   }
 }
@@ -616,15 +590,71 @@ void SelRange(size_t begin, size_t end, SelVector* sel) {
   }
 }
 
+ColumnVector EvalExprBatch(const Expr& expr, const ColumnBatch& batch,
+                           const SelVector& sel) {
+  return EvalVec(expr, batch, sel);
+}
+
+void EvalPredicateBatch(const Expr& expr, const ColumnBatch& batch,
+                        SelVector* sel) {
+  if (sel->empty()) return;
+  // Conjunction = selection intersection: the left conjunct shrinks the
+  // selection, the right conjunct never sees rejected rows. (NULL and FALSE
+  // both reject, exactly like scalar EvalPredicate on an AND.)
+  if (expr.kind == ExprKind::kBinary && expr.binary_op == BinaryOp::kAnd) {
+    EvalPredicateBatch(*expr.children[0], batch, sel);
+    EvalPredicateBatch(*expr.children[1], batch, sel);
+    return;
+  }
+  Vec v = EvalVec(expr, batch, *sel);
+  size_t kept = 0;
+  for (size_t i = 0; i < sel->size(); ++i) {
+    if (LaneTruth(v, i) == Truth::kTrue) (*sel)[kept++] = (*sel)[i];
+  }
+  sel->resize(kept);
+}
+
+namespace {
+
+/// The selected rows of a row span (or of its chunked mirror), restricted to
+/// the columns `expr` references, as a dense batch: row i of the batch is
+/// row sel[i] of the span.
+ColumnBatch BatchOf(const Expr& expr, const RowBlock& block,
+                    const SelVector& sel) {
+  ColumnBatch batch;
+  batch.num_rows = sel.size();
+  std::vector<int> refs;
+  CollectColumnIndices(expr, &refs);
+  for (int ref : refs) {
+    const size_t c = static_cast<size_t>(ref);
+    if (c >= batch.columns.size()) batch.columns.resize(c + 1);
+    if (batch.columns[c].data != nullptr) continue;
+    if (block.chunks != nullptr && c < block.chunks->num_columns()) {
+      // The caller keeps the chunks alive for the whole evaluation.
+      batch.columns[c].data = std::make_shared<const ColumnVector>(
+          ColumnVector::FromChunk(block.chunks->column(c), nullptr,
+                                  sel.data(), sel.size()));
+      continue;
+    }
+    batch.columns[c].data = std::make_shared<const ColumnVector>(
+        ColumnVector::FromRows(*block.rows, c, sel.data(), sel.size()));
+  }
+  return batch;
+}
+
+}  // namespace
+
 void EvalExprBatch(const Expr& expr, const RowBlock& block,
                    const SelVector& sel, std::vector<Value>* out) {
-  Vec v = EvalVec(expr, block, sel);
+  SelVector dense;
+  SelRange(0, sel.size(), &dense);
+  Vec v = EvalVec(expr, BatchOf(expr, block, sel), dense);
   out->reserve(out->size() + sel.size());
-  if (v.repr == Vec::Repr::kBoxed) {
+  if (v.repr == Repr::kBoxed) {
     for (auto& val : v.boxed) out->push_back(std::move(val));
     return;
   }
-  for (size_t i = 0; i < v.lanes(); ++i) out->push_back(LaneValue(v, i));
+  for (size_t i = 0; i < v.size(); ++i) out->push_back(v.GetValue(i));
 }
 
 void EvalExprBatch(const Expr& expr, const std::vector<Row>& rows,
@@ -634,21 +664,11 @@ void EvalExprBatch(const Expr& expr, const std::vector<Row>& rows,
 
 void EvalPredicateBatch(const Expr& expr, const RowBlock& block,
                         SelVector* sel) {
-  if (sel->empty()) return;
-  // Conjunction = selection intersection: the left conjunct shrinks the
-  // selection, the right conjunct never sees rejected rows. (NULL and FALSE
-  // both reject, exactly like scalar EvalPredicate on an AND.)
-  if (expr.kind == ExprKind::kBinary && expr.binary_op == BinaryOp::kAnd) {
-    EvalPredicateBatch(*expr.children[0], block, sel);
-    EvalPredicateBatch(*expr.children[1], block, sel);
-    return;
-  }
-  Vec v = EvalVec(expr, block, *sel);
-  size_t kept = 0;
-  for (size_t i = 0; i < sel->size(); ++i) {
-    if (LaneTruth(v, i) == Truth::kTrue) (*sel)[kept++] = (*sel)[i];
-  }
-  sel->resize(kept);
+  SelVector dense;
+  SelRange(0, sel->size(), &dense);
+  EvalPredicateBatch(expr, BatchOf(expr, block, *sel), &dense);
+  for (size_t i = 0; i < dense.size(); ++i) (*sel)[i] = (*sel)[dense[i]];
+  sel->resize(dense.size());
 }
 
 void EvalPredicateBatch(const Expr& expr, const std::vector<Row>& rows,

@@ -48,33 +48,82 @@ size_t ForOffsetWidth(uint64_t range) {
   return 0;
 }
 
+// Lane views the encoder reads. Both present a column's lanes exactly as
+// the Values they stand for, so a table encodes identically whether its
+// data arrives as rows or as column vectors.
+struct RowLanes {
+  const std::vector<Row>& rows;
+  size_t col;
+
+  size_t size() const { return rows.size(); }
+  const Value& value(size_t i) const { return rows[i][col]; }
+  bool null(size_t i) const { return value(i).is_null(); }
+  TypeId type(size_t i) const { return value(i).type(); }
+  size_t width(size_t i) const { return value(i).SerializedSize(); }
+  int64_t i64(size_t i) const { return value(i).int64_value(); }
+  double f64(size_t i) const { return value(i).double_value(); }
+  const std::string& str(size_t i) const { return value(i).string_value(); }
+};
+
+struct VectorLanes {
+  const ColumnVector& v;
+
+  size_t size() const { return v.size(); }
+  Value value(size_t i) const { return v.GetValue(i); }
+  bool null(size_t i) const { return v.IsNull(i); }
+  TypeId type(size_t i) const { return v.LaneType(i); }
+  size_t width(size_t i) const { return v.LaneSerializedSize(i); }
+  // The typed accessors below are only read on non-NULL lanes of a column
+  // whose every lane carries the declared type.
+  int64_t i64(size_t i) const {
+    return v.repr == ColumnVector::Repr::kBoxed ? v.boxed[i].int64_value()
+                                                : v.i64[i];
+  }
+  double f64(size_t i) const {
+    return v.repr == ColumnVector::Repr::kBoxed ? v.boxed[i].double_value()
+                                                : v.f64[i];
+  }
+  const std::string& str(size_t i) const {
+    return v.repr == ColumnVector::Repr::kBoxed ? v.boxed[i].string_value()
+                                                : v.StrAt(i);
+  }
+};
+
 }  // namespace
 
 ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
                                 TypeId declared) {
+  return EncodeLanes(RowLanes{rows, col}, declared);
+}
+
+ColumnChunk ColumnChunk::Encode(const ColumnVector& column, TypeId declared) {
+  return EncodeLanes(VectorLanes{column}, declared);
+}
+
+template <typename Lanes>
+ColumnChunk ColumnChunk::EncodeLanes(const Lanes& lanes, TypeId declared) {
   ColumnChunk c;
   c.type_ = declared;
-  const size_t n = rows.size();
+  const size_t n = lanes.size();
   c.size_ = n;
 
   size_t null_count = 0;
   bool uniform = true;
   for (size_t i = 0; i < n; ++i) {
-    const Value& v = rows[i][col];
-    c.decoded_size_ += v.SerializedSize();
-    if (v.is_null()) ++null_count;
+    c.decoded_size_ += lanes.width(i);
+    if (lanes.null(i)) ++null_count;
     // NULL lanes carry type tags too; a foreign tag forces the boxed
     // fallback so GetValue can reconstruct it exactly.
-    if (v.type() != declared) uniform = false;
+    if (lanes.type(i) != declared) uniform = false;
   }
 
   if (!uniform) {
     c.encoding_ = ColumnEncoding::kBoxed;
     c.boxed_.reserve(n);
-    for (size_t i = 0; i < n; ++i) c.boxed_.push_back(rows[i][col]);
+    for (size_t i = 0; i < n; ++i) c.boxed_.push_back(lanes.value(i));
     if (null_count > 0) {
       c.nulls_.resize(n, 0);
-      for (size_t i = 0; i < n; ++i) c.nulls_[i] = rows[i][col].is_null();
+      for (size_t i = 0; i < n; ++i) c.nulls_[i] = lanes.null(i);
     }
     c.encoded_size_ = c.decoded_size_;  // boxed ships as rows
     return c;
@@ -82,7 +131,7 @@ ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
 
   if (null_count > 0) {
     c.nulls_.resize(n, 0);
-    for (size_t i = 0; i < n; ++i) c.nulls_[i] = rows[i][col].is_null();
+    for (size_t i = 0; i < n; ++i) c.nulls_[i] = lanes.null(i);
   }
   const size_t non_null = n - null_count;
   const size_t null_bytes = NullOverhead(n, null_count);
@@ -93,8 +142,7 @@ ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
     case TypeId::kDate: {
       c.i64_.resize(n, 0);
       for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (!v.is_null()) c.i64_[i] = v.int64_value();
+        if (!lanes.null(i)) c.i64_[i] = lanes.i64(i);
       }
       const size_t plain_bytes = PlainLaneWidth(declared) * non_null;
       size_t rle_bytes = plain_bytes;
@@ -165,8 +213,7 @@ ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
       c.encoding_ = ColumnEncoding::kPlain;
       c.f64_.resize(n, 0.0);
       for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (!v.is_null()) c.f64_[i] = v.double_value();
+        if (!lanes.null(i)) c.f64_[i] = lanes.f64(i);
       }
       c.encoded_size_ = 8 * non_null + null_bytes;
       return c;
@@ -176,12 +223,12 @@ ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
       std::unordered_map<std::string, uint32_t> index;
       c.codes_.resize(n, 0);
       for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (v.is_null()) continue;
-        plain_bytes += 4 + v.string_value().size();
-        auto [it, inserted] = index.emplace(
-            v.string_value(), static_cast<uint32_t>(c.dict_.size()));
-        if (inserted) c.dict_.push_back(v.string_value());
+        if (lanes.null(i)) continue;
+        const std::string& s = lanes.str(i);
+        plain_bytes += 4 + s.size();
+        auto [it, inserted] =
+            index.emplace(s, static_cast<uint32_t>(c.dict_.size()));
+        if (inserted) c.dict_.push_back(s);
         c.codes_[i] = it->second;
       }
       size_t dict_bytes = DictCodeWidth(c.dict_.size()) * non_null;
@@ -194,8 +241,7 @@ ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
       c.encoding_ = ColumnEncoding::kPlain;
       c.strs_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        if (!v.is_null()) c.strs_[i] = v.string_value();
+        if (!lanes.null(i)) c.strs_[i] = lanes.str(i);
       }
       c.dict_.clear();
       c.codes_.clear();
@@ -207,7 +253,7 @@ ColumnChunk ColumnChunk::Encode(const std::vector<Row>& rows, size_t col,
   // Unreachable; keep the boxed default if a new TypeId ever appears.
   c.encoding_ = ColumnEncoding::kBoxed;
   c.boxed_.reserve(n);
-  for (size_t i = 0; i < n; ++i) c.boxed_.push_back(rows[i][col]);
+  for (size_t i = 0; i < n; ++i) c.boxed_.push_back(lanes.value(i));
   c.encoded_size_ = c.decoded_size_;
   return c;
 }
@@ -264,47 +310,6 @@ Value ColumnChunk::GetValue(size_t i) const {
   return Value::Null(type_);
 }
 
-void ColumnChunk::AppendNormalizedKey(size_t i, std::string* out) const {
-  if (encoding_ == ColumnEncoding::kBoxed) {
-    boxed_[i].AppendNormalizedKey(out);
-    return;
-  }
-  if (IsNull(i)) {
-    AppendNormalizedNullKey(out);
-    return;
-  }
-  switch (encoding_) {
-    case ColumnEncoding::kPlain:
-      switch (type_) {
-        case TypeId::kBool:
-        case TypeId::kInt64:
-        case TypeId::kDate:
-          AppendNormalizedInt64Key(i64_[i], out);
-          return;
-        case TypeId::kDouble:
-          AppendNormalizedDoubleKey(f64_[i], out);
-          return;
-        case TypeId::kString:
-          AppendNormalizedStringKey(strs_[i], out);
-          return;
-      }
-      return;
-    case ColumnEncoding::kDictionary:
-      AppendNormalizedStringKey(dict_[codes_[i]], out);
-      return;
-    case ColumnEncoding::kRle:
-      AppendNormalizedInt64Key(run_values_[RunIndexFor(run_starts_, i)], out);
-      return;
-    case ColumnEncoding::kFor:
-      AppendNormalizedInt64Key(
-          static_cast<int64_t>(static_cast<uint64_t>(for_ref_) + codes_[i]),
-          out);
-      return;
-    case ColumnEncoding::kBoxed:
-      return;
-  }
-}
-
 std::shared_ptr<const ChunkedTable> ChunkedTable::FromRows(
     const Schema& schema, const std::vector<Row>& rows) {
   const size_t width = schema.num_fields();
@@ -316,6 +321,21 @@ std::shared_ptr<const ChunkedTable> ChunkedTable::FromRows(
   t->columns_.reserve(width);
   for (size_t c = 0; c < width; ++c) {
     t->columns_.push_back(ColumnChunk::Encode(rows, c, schema.field(c).type));
+  }
+  return t;
+}
+
+std::shared_ptr<const ChunkedTable> ChunkedTable::FromColumns(
+    const Schema& schema, const std::vector<ColumnPtr>& columns,
+    size_t num_rows) {
+  const size_t width = schema.num_fields();
+  if (columns.size() != width) return nullptr;
+  auto t = std::make_shared<ChunkedTable>();
+  t->num_rows_ = num_rows;
+  t->columns_.reserve(width);
+  for (size_t c = 0; c < width; ++c) {
+    t->columns_.push_back(
+        ColumnChunk::Encode(*columns[c], schema.field(c).type));
   }
   return t;
 }

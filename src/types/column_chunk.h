@@ -5,12 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "src/types/column_vector.h"
 #include "src/types/schema.h"
 #include "src/types/value.h"
 
 namespace xdb {
-
-using Row = std::vector<Value>;
 
 /// \brief Physical encoding chosen for one column chunk.
 enum class ColumnEncoding : uint8_t {
@@ -46,6 +45,9 @@ class ColumnChunk {
   /// Encodes column `col` of `rows` (declared schema type `declared`).
   static ColumnChunk Encode(const std::vector<Row>& rows, size_t col,
                             TypeId declared);
+  /// Encodes the lanes of `column`; the same lanes as rows encode to the
+  /// same chunk (one encoder serves both).
+  static ColumnChunk Encode(const ColumnVector& column, TypeId declared);
 
   ColumnEncoding encoding() const { return encoding_; }
   TypeId type() const { return type_; }
@@ -55,10 +57,6 @@ class ColumnChunk {
 
   /// Reconstructs lane `i` as the exact original Value.
   Value GetValue(size_t i) const;
-
-  /// Appends lane `i`'s normalized-key bytes — byte-identical to
-  /// Value::AppendNormalizedKey on the decoded value (shared primitives).
-  void AppendNormalizedKey(size_t i, std::string* out) const;
 
   size_t EncodedSize() const { return encoded_size_; }
   size_t DecodedSize() const { return decoded_size_; }
@@ -76,6 +74,9 @@ class ColumnChunk {
   const std::vector<Value>& boxed() const { return boxed_; }
 
  private:
+  template <typename Lanes>
+  static ColumnChunk EncodeLanes(const Lanes& lanes, TypeId declared);
+
   ColumnEncoding encoding_ = ColumnEncoding::kBoxed;
   TypeId type_ = TypeId::kInt64;
   size_t size_ = 0;
@@ -101,6 +102,12 @@ class ChunkedTable {
   /// not match the schema (defensive: such tables stay on the row path).
   static std::shared_ptr<const ChunkedTable> FromRows(
       const Schema& schema, const std::vector<Row>& rows);
+  /// Encodes a column-backed table (one `num_rows`-lane vector per schema
+  /// field). Returns nullptr when the column count does not match the
+  /// schema.
+  static std::shared_ptr<const ChunkedTable> FromColumns(
+      const Schema& schema, const std::vector<ColumnPtr>& columns,
+      size_t num_rows);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

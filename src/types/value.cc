@@ -59,7 +59,9 @@ Result<int64_t> ParseDate(const std::string& s) {
 std::string FormatDate(int64_t days) {
   int y, m, d;
   CivilFromDays(days, &y, &m, &d);
-  char buf[16];
+  // Room for three full-width ints: CivilFromDays accepts any day count, so
+  // the compiler cannot bound the year to four digits.
+  char buf[40];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }
@@ -140,9 +142,9 @@ void AppendFixed64(std::string* out, uint64_t bits) {
 
 // Tag bytes keep different type classes (and NULL) from colliding; fixed or
 // length-prefixed payloads keep concatenated keys unambiguous. These free
-// functions are the single source of truth for the encoding — Value and the
-// columnar chunks both call them, so code-space key extraction cannot drift
-// from the row path.
+// functions are the single source of truth for the encoding — Value and
+// ColumnVector both call them, so keys read from typed columns cannot drift
+// from keys of the boxed values.
 
 void AppendNormalizedNullKey(std::string* out) {
   out->push_back('\1');  // NULL, regardless of declared type (Compare: all

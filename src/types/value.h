@@ -35,8 +35,8 @@ Result<int64_t> ParseDate(const std::string& s);
 std::string FormatDate(int64_t days);
 
 /// Normalized-key encoding primitives shared by Value::AppendNormalizedKey
-/// and the columnar chunk encoders (column_chunk.cc), so code-space key
-/// extraction is byte-identical to the row path by construction.
+/// and ColumnVector::AppendNormalizedKey, so keys read from typed columns
+/// are byte-identical to keys of the boxed values by construction.
 void AppendNormalizedNullKey(std::string* out);
 void AppendNormalizedStringKey(const std::string& s, std::string* out);
 void AppendNormalizedInt64Key(int64_t i, std::string* out);

@@ -18,6 +18,7 @@
 #include "src/expr/expr.h"
 #include "src/expr/vector_eval.h"
 #include "src/obs/metrics.h"
+#include "src/plan/stats.h"
 #include "src/tpch/distributions.h"
 #include "src/tpch/queries.h"
 #include "src/types/table.h"
@@ -134,17 +135,90 @@ TEST(ColumnarRoundTrip, RandomizedBitIdentity) {
     ASSERT_EQ(chunk.size(), n);
     // The modelled wire width never exceeds the row-format width.
     EXPECT_LE(chunk.EncodedSize(), chunk.DecodedSize());
+    // The executor reads chunks decoded into a ColumnVector.
+    std::vector<uint32_t> all(n);
+    for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
+    const ColumnVector decoded =
+        ColumnVector::FromChunk(chunk, nullptr, all.data(), n);
+    ASSERT_EQ(decoded.size(), n);
     for (size_t i = 0; i < n; ++i) {
       // Value round-trip, bit for bit.
       EXPECT_TRUE(BitEqual(chunk.GetValue(i), rows[i][0]))
           << "lane " << i << ": " << chunk.GetValue(i).ToString() << " vs "
           << rows[i][0].ToString();
+      EXPECT_TRUE(BitEqual(decoded.GetValue(i), rows[i][0])) << "lane " << i;
       // Normalized-key round-trip: hash-join and group-by keys built from
-      // the chunk must equal keys built from the row value.
-      std::string from_chunk, from_row;
-      chunk.AppendNormalizedKey(i, &from_chunk);
+      // the decoded column must equal keys built from the row value.
+      std::string from_column, from_row;
+      decoded.AppendNormalizedKey(i, &from_column);
       rows[i][0].AppendNormalizedKey(&from_row);
-      EXPECT_EQ(from_chunk, from_row) << "lane " << i;
+      EXPECT_EQ(from_column, from_row) << "lane " << i;
+    }
+  }
+}
+
+// A table built from rows and the same table built from typed columns (the
+// executor's result form) must analyze, size and encode identically: the
+// statistics read the columns of either, and the wire sizes of a
+// column-backed table never build its rows.
+TEST(ColumnarStats, RowAndColumnTablesAgree) {
+  std::mt19937 rng(7);
+  const TypeId types[] = {TypeId::kBool, TypeId::kInt64, TypeId::kDate,
+                          TypeId::kDouble, TypeId::kString};
+  std::uniform_int_distribution<size_t> len(0, 300);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t n = len(rng);
+    Schema schema;
+    std::vector<Row> rows(n);
+    for (int c = 0; c < 6; ++c) {
+      ColumnSpec spec{types[(trial + c) % 5], c * 0.15, 1 + 7 * c,
+                      c % 2 == 0, -50, 3, (trial + c) % 7 == 0};
+      std::vector<Row> col = GenerateColumn(spec, n, &rng);
+      schema.AddField({"c" + std::to_string(c), spec.type});
+      for (size_t i = 0; i < n; ++i) rows[i].push_back(col[i][0]);
+    }
+    // Signed zeros: the first of two equal extremes must win either way.
+    schema.AddField({"z", TypeId::kDouble});
+    for (size_t i = 0; i < n; ++i) {
+      rows[i].push_back(i % 3 == 2 ? Value::Null(TypeId::kDouble)
+                                   : Value::Double(i % 2 ? 0.0 : -0.0));
+    }
+    std::vector<uint32_t> all(n);
+    for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
+    Table::Columns cols;
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      cols.push_back(std::make_shared<const ColumnVector>(
+          ColumnVector::FromRows(rows, c, all.data(), n)));
+    }
+    const Table by_rows(schema, rows);
+    const Table by_cols(schema, cols, n);
+
+    const TableStats a = ComputeTableStats(by_rows);
+    const TableStats b = ComputeTableStats(by_cols);
+    EXPECT_EQ(a.row_count, b.row_count);
+    ASSERT_EQ(a.columns.size(), b.columns.size());
+    for (size_t c = 0; c < a.columns.size(); ++c) {
+      SCOPED_TRACE("column " + std::to_string(c));
+      EXPECT_EQ(a.columns[c].ndv, b.columns[c].ndv);
+      EXPECT_EQ(a.columns[c].avg_width, b.columns[c].avg_width);
+      EXPECT_TRUE(BitEqual(a.columns[c].min, b.columns[c].min));
+      EXPECT_TRUE(BitEqual(a.columns[c].max, b.columns[c].max));
+    }
+    EXPECT_EQ(by_rows.SerializedSize(), by_cols.SerializedSize());
+    EXPECT_EQ(by_rows.EncodedSerializedSize(), by_cols.EncodedSerializedSize());
+    auto ca = by_rows.EnsureChunked();
+    auto cb = by_cols.EnsureChunked();
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      EXPECT_EQ(ca->column(c).encoding(), cb->column(c).encoding());
+    }
+    // Nothing above built the column-backed table's rows; now they must
+    // equal the originals exactly.
+    ASSERT_EQ(by_cols.rows().size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        ASSERT_TRUE(BitEqual(by_cols.rows()[i][c], rows[i][c]));
+      }
     }
   }
 }
