@@ -143,6 +143,13 @@ struct SystemCase {
   int td;
 };
 
+// Without this, gtest prints the parameter as its raw bytes -- the address of
+// `system` and the struct padding -- into the listed test name, which then
+// changes from build to build and from run to run.
+void PrintTo(const SystemCase& c, std::ostream* os) {
+  *os << c.system << "/TD" << c.td;
+}
+
 class TpchSystemsCorrectness
     : public TpchFixture,
       public ::testing::WithParamInterface<SystemCase> {};
