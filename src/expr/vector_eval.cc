@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
 
 #include "src/common/str_util.h"
 
@@ -180,6 +181,32 @@ int CmpResult(BinaryOp op, int c) {
   }
 }
 
+/// Which three-way results (Value::Compare's -1 / 0 / 1, at index c + 1) a
+/// comparison operator accepts.
+struct Verdicts {
+  uint8_t keep[3];
+};
+
+Verdicts VerdictsOf(BinaryOp op) {
+  return {{static_cast<uint8_t>(CmpResult(op, -1)),
+           static_cast<uint8_t>(CmpResult(op, 0)),
+           static_cast<uint8_t>(CmpResult(op, 1))}};
+}
+
+/// One verdict per dictionary entry: Value::Compare of the entry against
+/// `lit`, on the operand side each occupies.
+std::vector<uint8_t> DictVerdicts(const Vec& v, const Value& lit, bool lit_left,
+                                  const Verdicts& keep) {
+  const std::vector<std::string>& dict = *v.dict;
+  std::vector<uint8_t> out(dict.size());
+  for (size_t k = 0; k < dict.size(); ++k) {
+    const Value entry = Value::String(dict[k]);
+    const int c = lit_left ? lit.Compare(entry) : entry.Compare(lit);
+    out[k] = keep.keep[c + 1];
+  }
+  return out;
+}
+
 /// Comparison over two evaluated operand vectors. Value::Compare for two
 /// non-double numerics is a raw int64 compare; when either side is double it
 /// widens with AsDouble — both decisions are lane-uniform for typed vectors,
@@ -230,14 +257,8 @@ Vec EvalCompareVec(BinaryOp op, const Vec& l, const Vec& r) {
       dv = &r; lit = &l;
     }
     if (dv != nullptr && n > 0 && !lit->IsNull(0)) {
-      const Value litv = lit->GetValue(0);
-      const std::vector<std::string>& dict = *dv->dict;
-      std::vector<uint8_t> match(dict.size());
-      for (size_t k = 0; k < dict.size(); ++k) {
-        const Value entry = Value::String(dict[k]);
-        const int c = dict_left ? entry.Compare(litv) : litv.Compare(entry);
-        match[k] = static_cast<uint8_t>(CmpResult(op, c));
-      }
+      const std::vector<uint8_t> match =
+          DictVerdicts(*dv, lit->GetValue(0), !dict_left, VerdictsOf(op));
       for (size_t i = 0; i < n; ++i) {
         if (dv->nulls[i]) {
           out.nulls[i] = 1;
@@ -405,7 +426,8 @@ Vec EvalBetweenVec(const Expr& expr, const ColumnBatch& b,
   out.i64.resize(n, 0);
   if (IsTypedNumeric(v) && IsTypedNumeric(lo) && IsTypedNumeric(hi)) {
     // Each bound pair picks int or double comparison exactly as
-    // Value::Compare would, decided once per vector pair.
+    // Value::Compare would, decided once per vector pair. Compare(v, lo) >= 0
+    // is !(v < lo): a NaN on either side compares as greater.
     const bool lo_int =
         v.repr == Repr::kI64 && lo.repr == Repr::kI64;
     const bool hi_int =
@@ -416,7 +438,7 @@ Vec EvalBetweenVec(const Expr& expr, const ColumnBatch& b,
         continue;
       }
       const bool ge_lo = lo_int ? v.i64[i] >= lo.i64[i]
-                                : LaneAsDouble(v, i) >= LaneAsDouble(lo, i);
+                                : !(LaneAsDouble(v, i) < LaneAsDouble(lo, i));
       const bool le_hi = hi_int ? v.i64[i] <= hi.i64[i]
                                 : LaneAsDouble(v, i) <= LaneAsDouble(hi, i);
       out.i64[i] = ge_lo && le_hi ? 1 : 0;
@@ -583,17 +605,209 @@ Vec EvalVec(const Expr& expr, const ColumnBatch& b, const SelVector& sel) {
 }  // namespace
 
 void SelRange(size_t begin, size_t end, SelVector* sel) {
-  sel->clear();
-  sel->reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    sel->push_back(static_cast<uint32_t>(i));
-  }
+  sel->resize(end - begin);
+  std::iota(sel->begin(), sel->end(), static_cast<uint32_t>(begin));
 }
 
 ColumnVector EvalExprBatch(const Expr& expr, const ColumnBatch& batch,
                            const SelVector& sel) {
   return EvalVec(expr, batch, sel);
 }
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// In-place predicate kernels: read the column slice through its row ids and
+// compact the selection vector directly — no gathered operand, no literal
+// splat, no result vector.
+// ---------------------------------------------------------------------------
+
+/// Index into Verdicts::keep of Value::Compare(a, b) for two numbers of one
+/// kind: NaN compares as greater from either side, exactly as Compare does.
+template <typename T>
+int CmpIndex(T a, T b) {
+  return 2 - static_cast<int>(a == b) - 2 * static_cast<int>(a < b);
+}
+
+int CmpIndex(const std::string& a, const std::string& b) {
+  const int c = a.compare(b);
+  return c < 0 ? 0 : (c == 0 ? 1 : 2);
+}
+
+/// Keeps the selected rows whose lane of `slice` is non-NULL and passes
+/// `pass(lane)`, in order. Typed reprs only (`nulls` is sized to the lanes).
+template <typename Pass>
+void CompactInPlace(const ColumnSlice& slice, SelVector* sel,
+                    const Pass& pass) {
+  const uint32_t* ids = slice.ids != nullptr ? slice.ids->data() : nullptr;
+  const uint8_t* nulls = slice.data->nulls.data();
+  uint32_t* rows = sel->data();
+  const size_t n = sel->size();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = rows[i];
+    const uint32_t lane = ids != nullptr ? ids[row] : row;
+    rows[kept] = row;
+    kept += static_cast<size_t>(!nulls[lane] && pass(lane));
+  }
+  sel->resize(kept);
+}
+
+/// `lit` is on the left when `lit_left`; Compare is antisymmetric for two
+/// int64s or two strings, so the verdicts are mirrored instead.
+Verdicts Oriented(Verdicts v, bool lit_left) {
+  if (lit_left) std::swap(v.keep[0], v.keep[2]);
+  return v;
+}
+
+/// `column op literal` or `literal op column` over a typed column; false
+/// when the shape has no in-place kernel.
+bool CompareInPlace(const Expr& expr, const ColumnBatch& b, SelVector* sel) {
+  const Expr& l = *expr.children[0];
+  const Expr& r = *expr.children[1];
+  const bool lit_left = l.kind == ExprKind::kLiteral;
+  const Expr& col = lit_left ? r : l;
+  const Expr& lit_expr = lit_left ? l : r;
+  if (col.kind != ExprKind::kColumnRef || lit_expr.kind != ExprKind::kLiteral) {
+    return false;
+  }
+  const Value& lit = lit_expr.literal;
+  const ColumnSlice& slice = b.columns[static_cast<size_t>(col.column_index)];
+  const Vec& v = *slice.data;
+  if (v.repr == Repr::kBoxed) return false;
+  if (lit.is_null()) {  // a comparison with NULL is never TRUE
+    sel->clear();
+    return true;
+  }
+  const Verdicts keep = VerdictsOf(expr.binary_op);
+  const bool lit_num = lit.type() != TypeId::kString;
+  switch (v.repr) {
+    case Repr::kI64:
+      if (IsI64Class(lit.type())) {
+        const Verdicts k = Oriented(keep, lit_left);
+        const int64_t x = lit.int64_value();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          return k.keep[CmpIndex(v.i64[i], x)];
+        });
+        return true;
+      }
+      if (lit.type() == TypeId::kDouble) {
+        const double x = lit.double_value();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          const double a = static_cast<double>(v.i64[i]);
+          return keep.keep[lit_left ? CmpIndex(x, a) : CmpIndex(a, x)];
+        });
+        return true;
+      }
+      return false;
+    case Repr::kF64:
+      if (lit_num) {
+        const double x = lit.AsDouble();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          const double a = v.f64[i];
+          return keep.keep[lit_left ? CmpIndex(x, a) : CmpIndex(a, x)];
+        });
+        return true;
+      }
+      return false;
+    case Repr::kStr:
+      if (!lit_num) {
+        const Verdicts k = Oriented(keep, lit_left);
+        const std::string& x = lit.string_value();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          return k.keep[CmpIndex(v.str[i], x)];
+        });
+        return true;
+      }
+      return false;
+    case Repr::kDict: {
+      const std::vector<uint8_t> pass = DictVerdicts(v, lit, lit_left, keep);
+      CompactInPlace(slice, sel,
+                     [&](uint32_t i) { return pass[v.codes[i]] != 0; });
+      return true;
+    }
+    case Repr::kBoxed:
+      break;
+  }
+  return false;
+}
+
+/// `column BETWEEN literal AND literal` over a typed column whose bounds
+/// compare in one kind (both int64-class over an int64-class column, both
+/// numeric over a double column, both strings over a string column); false
+/// otherwise. Keeps Compare(v, lo) >= 0 && Compare(v, hi) <= 0.
+bool BetweenInPlace(const Expr& expr, const ColumnBatch& b, SelVector* sel) {
+  const Expr& col = *expr.children[0];
+  const Expr& lo_expr = *expr.children[1];
+  const Expr& hi_expr = *expr.children[2];
+  if (col.kind != ExprKind::kColumnRef ||
+      lo_expr.kind != ExprKind::kLiteral ||
+      hi_expr.kind != ExprKind::kLiteral) {
+    return false;
+  }
+  const Value& lo = lo_expr.literal;
+  const Value& hi = hi_expr.literal;
+  const ColumnSlice& slice = b.columns[static_cast<size_t>(col.column_index)];
+  const Vec& v = *slice.data;
+  if (v.repr == Repr::kBoxed) return false;
+  if (lo.is_null() || hi.is_null()) {
+    sel->clear();
+    return true;
+  }
+  // CmpIndex >= 1 is Compare >= 0; CmpIndex <= 1 is Compare <= 0.
+  const bool lo_str = lo.type() == TypeId::kString;
+  const bool hi_str = hi.type() == TypeId::kString;
+  switch (v.repr) {
+    case Repr::kI64:
+      if (IsI64Class(lo.type()) && IsI64Class(hi.type())) {
+        const int64_t x = lo.int64_value(), y = hi.int64_value();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          return v.i64[i] >= x && v.i64[i] <= y;
+        });
+        return true;
+      }
+      return false;
+    case Repr::kF64:
+      if (!lo_str && !hi_str) {
+        const double x = lo.AsDouble(), y = hi.AsDouble();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          return CmpIndex(v.f64[i], x) >= 1 && CmpIndex(v.f64[i], y) <= 1;
+        });
+        return true;
+      }
+      return false;
+    case Repr::kStr:
+      if (lo_str && hi_str) {
+        const std::string& x = lo.string_value();
+        const std::string& y = hi.string_value();
+        CompactInPlace(slice, sel, [&](uint32_t i) {
+          return CmpIndex(v.str[i], x) >= 1 && CmpIndex(v.str[i], y) <= 1;
+        });
+        return true;
+      }
+      return false;
+    case Repr::kDict: {
+      std::vector<uint8_t> pass =
+          DictVerdicts(v, lo, false, VerdictsOf(BinaryOp::kGe));
+      const std::vector<uint8_t> le_hi =
+          DictVerdicts(v, hi, false, VerdictsOf(BinaryOp::kLe));
+      for (size_t k = 0; k < pass.size(); ++k) pass[k] &= le_hi[k];
+      CompactInPlace(slice, sel,
+                     [&](uint32_t i) { return pass[v.codes[i]] != 0; });
+      return true;
+    }
+    case Repr::kBoxed:
+      break;
+  }
+  return false;
+}
+
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+}  // namespace
 
 void EvalPredicateBatch(const Expr& expr, const ColumnBatch& batch,
                         SelVector* sel) {
@@ -604,6 +818,37 @@ void EvalPredicateBatch(const Expr& expr, const ColumnBatch& batch,
   if (expr.kind == ExprKind::kBinary && expr.binary_op == BinaryOp::kAnd) {
     EvalPredicateBatch(*expr.children[0], batch, sel);
     EvalPredicateBatch(*expr.children[1], batch, sel);
+    return;
+  }
+  if (expr.kind == ExprKind::kBinary && expr.binary_op == BinaryOp::kOr) {
+    // Disjunction = selection union. A filter keeps only TRUE rows, and
+    // `a OR b` is TRUE exactly when a or b is TRUE, so the right side runs
+    // on the rows the left side did not keep and the two ascending lists
+    // merge.
+    SelVector left = *sel;
+    EvalPredicateBatch(*expr.children[0], batch, &left);
+    if (left.size() == sel->size()) return;
+    SelVector rest;
+    rest.reserve(sel->size() - left.size());
+    size_t j = 0;
+    for (uint32_t row : *sel) {
+      if (j < left.size() && left[j] == row) {
+        ++j;
+      } else {
+        rest.push_back(row);
+      }
+    }
+    EvalPredicateBatch(*expr.children[1], batch, &rest);
+    sel->resize(left.size() + rest.size());
+    std::merge(left.begin(), left.end(), rest.begin(), rest.end(),
+               sel->begin());
+    return;
+  }
+  if (expr.kind == ExprKind::kBinary && IsComparison(expr.binary_op) &&
+      CompareInPlace(expr, batch, sel)) {
+    return;
+  }
+  if (expr.kind == ExprKind::kBetween && BetweenInPlace(expr, batch, sel)) {
     return;
   }
   Vec v = EvalVec(expr, batch, *sel);

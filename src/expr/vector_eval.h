@@ -32,13 +32,16 @@ void SelRange(size_t begin, size_t end, SelVector* sel);
 ColumnVector EvalExprBatch(const Expr& expr, const ColumnBatch& batch,
                            const SelVector& sel);
 
-/// \brief Filters `sel` down to the rows where the predicate evaluates to
-/// (non-NULL) TRUE, preserving order — identical to keeping the rows where
-/// `EvalPredicate(expr, row)` holds.
+/// \brief Filters `sel` (ascending) down to the rows where the predicate
+/// evaluates to (non-NULL) TRUE, preserving order — identical to keeping
+/// the rows where `EvalPredicate(expr, row)` holds.
 ///
-/// Top-level AND short-circuits by selection-vector intersection: the left
-/// conjunct shrinks `sel`, and the right conjunct is only evaluated on the
-/// survivors.
+/// AND intersects selections: the left conjunct shrinks `sel`, and the
+/// right conjunct is only evaluated on the survivors. OR unions them: the
+/// right disjunct runs on the rows the left one did not keep. `column ⊙
+/// literal` (either side) and `column BETWEEN literal AND literal` over a
+/// typed column read the column through its row ids and compact `sel` in
+/// place; other shapes evaluate into a vector and keep its TRUE lanes.
 void EvalPredicateBatch(const Expr& expr, const ColumnBatch& batch,
                         SelVector* sel);
 

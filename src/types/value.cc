@@ -1,8 +1,10 @@
 #include "src/types/value.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 namespace xdb {
 
@@ -165,15 +167,21 @@ void AppendNormalizedInt64Key(int64_t i, std::string* out) {
 }
 
 void AppendNormalizedDoubleKey(double d, std::string* out) {
-  if (d == 0.0) d = 0.0;  // -0.0 compares equal to 0.0
-  // Integral doubles encode as int64 so that 1.0 == 1 (Compare widens the
-  // int side to double for mixed comparisons).
-  int64_t i = static_cast<int64_t>(d);
-  if (d >= -9007199254740992.0 && d <= 9007199254740992.0 &&
-      static_cast<double>(i) == d) {
-    AppendNormalizedInt64Key(i, out);
-    return;
+  // Key equality is exact numeric equality: an integral double anywhere in
+  // the int64 range encodes as that int64, so 1.0 == 1 and 2^60 == 2^60 as
+  // an int64, while 2^53 (double) != 2^53 + 1 (int64) although Compare's
+  // widening calls them equal. -0.0 is integral and encodes as 0. The range
+  // test comes first: converting an out-of-range double is undefined.
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+    const int64_t i = static_cast<int64_t>(d);
+    if (static_cast<double>(i) == d) {
+      AppendNormalizedInt64Key(i, out);
+      return;
+    }
   }
+  // Every NaN encodes as one canonical NaN, so NaN keys match each other
+  // (as in PostgreSQL) whatever their sign and payload bits.
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d));
   std::memcpy(&bits, &d, sizeof(bits));

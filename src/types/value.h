@@ -114,11 +114,13 @@ class Value {
   size_t Hash() const;
 
   /// Appends a normalized-key encoding of this value to `out`: byte strings
-  /// that are equal exactly when the values are equal under Compare()
-  /// (including NULL == NULL and cross-numeric equality like 1 == 1.0), and
-  /// unambiguous under concatenation, so a multi-column join/group key can be
-  /// serialized once into a flat std::string and hashed/compared as raw
-  /// bytes instead of re-hashing a vector<Value> per probe.
+  /// that are equal exactly when the values are equal as join/group keys
+  /// (NULL == NULL, strings bytewise, numbers by exact numeric value across
+  /// int64 and double, so 1 == 1.0 and -0.0 == 0.0 but 2^53 + 1 != 2^53 as
+  /// a double, and NaN == NaN), and unambiguous under concatenation, so a
+  /// multi-column join/group key can be serialized once into a flat
+  /// std::string and hashed/compared as raw bytes instead of re-hashing a
+  /// vector<Value> per probe. Unlike Compare(), this equality is transitive.
   void AppendNormalizedKey(std::string* out) const;
 
   /// SQL-literal rendering: strings quoted, dates as DATE '...', NULL as NULL.

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <random>
 
 #include "src/expr/expr.h"
@@ -291,6 +293,181 @@ TEST(VectorizedExprTest, EmptySelectionYieldsNothing) {
   EXPECT_TRUE(out.empty());
   EvalPredicateBatch(*e, rows, &sel);
   EXPECT_TRUE(sel.empty());
+}
+
+// ---------------------------------------------------------------------------
+// In-place predicate kernels over column slices
+// ---------------------------------------------------------------------------
+
+// Columns of the slice batch.
+constexpr int kSliceI = 0;     // int64
+constexpr int kSliceF = 1;     // double: NaN, -0.0, integral, fractions
+constexpr int kSliceD = 2;     // date
+constexpr int kSliceB = 3;     // bool
+constexpr int kSliceS = 4;     // plain string
+constexpr int kSliceDict = 5;  // dictionary-coded string
+constexpr int kSliceCols = 6;
+
+const char* const kWords[] = {"alpha", "beta", "gamma", "", "alphabet"};
+
+/// One random NULL-heavy column of `lanes` lanes.
+ColumnPtr RandomColumn(int col, size_t lanes, std::mt19937* rng) {
+  std::uniform_int_distribution<int> pct(0, 99);
+  std::uniform_int_distribution<int64_t> small(-6, 6);
+  if (col == kSliceDict) {
+    ColumnVector v;
+    v.repr = ColumnVector::Repr::kDict;
+    v.type = v.null_type = TypeId::kString;
+    v.dict = std::make_shared<const std::vector<std::string>>(
+        std::begin(kWords), std::end(kWords));
+    for (size_t i = 0; i < lanes; ++i) {
+      v.nulls.push_back(pct(*rng) < 30 ? 1 : 0);
+      v.codes.push_back(static_cast<uint32_t>((*rng)() % 5));
+    }
+    return std::make_shared<const ColumnVector>(std::move(v));
+  }
+  std::vector<Value> values;
+  for (size_t i = 0; i < lanes; ++i) {
+    const bool null = pct(*rng) < 30;
+    switch (col) {
+      case kSliceI:
+        values.push_back(null ? Value::Null(TypeId::kInt64)
+                              : Value::Int64(small(*rng)));
+        break;
+      case kSliceF: {
+        const int k = pct(*rng);
+        values.push_back(
+            null     ? Value::Null(TypeId::kDouble)
+            : k < 10 ? Value::Double(std::numeric_limits<double>::quiet_NaN())
+            : k < 20 ? Value::Double(-0.0)
+            : k < 60 ? Value::Double(double(small(*rng)))
+                     : Value::Double(double(small(*rng)) + 0.5));
+        break;
+      }
+      case kSliceD:
+        values.push_back(null ? Value::Null(TypeId::kDate)
+                              : Value::Date(9000 + small(*rng)));
+        break;
+      case kSliceB:
+        values.push_back(null ? Value::Null(TypeId::kBool)
+                              : Value::Bool(pct(*rng) < 50));
+        break;
+      default:
+        values.push_back(null ? Value::Null(TypeId::kString)
+                              : Value::String(kWords[(*rng)() % 5]));
+        break;
+    }
+  }
+  return std::make_shared<const ColumnVector>(
+      ColumnVector::FromValues(std::move(values)));
+}
+
+/// `rows` rows over random columns; about half the slices read their column
+/// through a random row-id vector (repeats included), the rest in place.
+ColumnBatch RandomSliceBatch(size_t rows, std::mt19937* rng) {
+  ColumnBatch batch;
+  batch.num_rows = rows;
+  for (int c = 0; c < kSliceCols; ++c) {
+    ColumnSlice slice;
+    if ((*rng)() % 2 == 0) {
+      slice.data = RandomColumn(c, rows, rng);
+    } else {
+      const size_t lanes = 2 * rows + 1;
+      slice.data = RandomColumn(c, lanes, rng);
+      auto ids = std::make_shared<std::vector<uint32_t>>(rows);
+      for (uint32_t& id : *ids) id = static_cast<uint32_t>((*rng)() % lanes);
+      slice.ids = std::move(ids);
+    }
+    batch.columns.push_back(std::move(slice));
+  }
+  return batch;
+}
+
+Row SliceRow(const ColumnBatch& batch, uint32_t r) {
+  Row row;
+  for (const ColumnSlice& s : batch.columns) {
+    row.push_back(s.data->GetValue(s.ids != nullptr ? (*s.ids)[r] : r));
+  }
+  return row;
+}
+
+ExprPtr SliceColumn(int c) {
+  static const TypeId kTypes[] = {TypeId::kInt64, TypeId::kDouble,
+                                  TypeId::kDate,  TypeId::kBool,
+                                  TypeId::kString, TypeId::kString};
+  return Expr::BoundColumn(c, kTypes[c], "c" + std::to_string(c));
+}
+
+ExprPtr SliceLiteral(std::mt19937* rng) {
+  switch ((*rng)() % 9) {
+    case 0: return Expr::Literal(Value::Int64(int64_t((*rng)() % 9) - 4));
+    case 1: return Expr::Literal(Value::Double(double((*rng)() % 9) - 4.5));
+    case 2: return Expr::Literal(Value::Double(-0.0));
+    case 3:
+      return Expr::Literal(
+          Value::Double(std::numeric_limits<double>::quiet_NaN()));
+    case 4: return Expr::Literal(Value::Date(9000 + int64_t((*rng)() % 9) - 4));
+    case 5: return Expr::Literal(Value::Bool((*rng)() % 2 == 0));
+    case 6: return Expr::Literal(Value::Null(TypeId::kString));
+    default: return Expr::Literal(Value::String(kWords[(*rng)() % 5]));
+  }
+}
+
+ExprPtr GenSlicePredicate(std::mt19937* rng, int depth) {
+  const unsigned pick = (*rng)() % (depth > 0 ? 9 : 5);
+  const ExprPtr col = SliceColumn(static_cast<int>((*rng)() % kSliceCols));
+  const auto op = static_cast<BinaryOp>(4 + (*rng)() % 6);  // = <> < <= > >=
+  switch (pick) {
+    case 0:
+    case 1:
+      return Expr::Binary(op, col, SliceLiteral(rng));
+    case 2:  // literal on the left
+      return Expr::Binary(op, SliceLiteral(rng), col);
+    case 3:
+      return Expr::Between(col, SliceLiteral(rng), SliceLiteral(rng));
+    case 4:  // no in-place kernel: column against column, IS NULL
+      if ((*rng)() % 2) {
+        return Expr::Binary(
+            op, col, SliceColumn(static_cast<int>((*rng)() % kSliceCols)));
+      }
+      return Expr::Unary(UnaryOp::kIsNull, col);
+    case 5:
+    case 6:
+      return Expr::Binary(BinaryOp::kOr, GenSlicePredicate(rng, depth - 1),
+                          GenSlicePredicate(rng, depth - 1));
+    case 7:
+      return Expr::Binary(BinaryOp::kAnd, GenSlicePredicate(rng, depth - 1),
+                          GenSlicePredicate(rng, depth - 1));
+    default:
+      return Expr::Unary(UnaryOp::kNot, GenSlicePredicate(rng, depth - 1));
+  }
+}
+
+TEST(VectorizedExprTest, InPlacePredicatesMatchEvalAndCompact) {
+  for (uint32_t seed = 0; seed < 300; ++seed) {
+    std::mt19937 rng(seed);
+    const ColumnBatch batch = RandomSliceBatch(61 + seed % 7, &rng);
+    const ExprPtr pred = GenSlicePredicate(&rng, 3);
+    SelVector sel;
+    for (uint32_t r = 0; r < batch.num_rows; ++r) {
+      if (rng() % 4 != 0) sel.push_back(r);
+    }
+    // Evaluate-then-compact: keep the lanes that are non-NULL TRUE.
+    const ColumnVector v = EvalExprBatch(*pred, batch, sel);
+    ASSERT_EQ(v.size(), sel.size());
+    SelVector evaluated, scalar;
+    for (size_t i = 0; i < sel.size(); ++i) {
+      const Value lane = v.GetValue(i);
+      if (!lane.is_null() && lane.bool_value()) evaluated.push_back(sel[i]);
+      if (EvalPredicate(*pred, SliceRow(batch, sel[i]))) {
+        scalar.push_back(sel[i]);
+      }
+    }
+    SelVector in_place = sel;
+    EvalPredicateBatch(*pred, batch, &in_place);
+    ASSERT_EQ(in_place, evaluated) << "seed " << seed << ": " << pred->ToSql();
+    ASSERT_EQ(in_place, scalar) << "seed " << seed << ": " << pred->ToSql();
+  }
 }
 
 }  // namespace
