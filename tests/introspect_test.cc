@@ -318,6 +318,19 @@ TEST_F(IntrospectFixture, PinnedLocalZeroRoundtripsTransfersAndCacheBypass) {
   EXPECT_EQ(xdb.plan_cache()->misses(), cache_misses);
 }
 
+TEST_F(IntrospectFixture, TinyDeadlineFailsDuringIntrospectionPlanning) {
+  XdbSystem xdb(&fed_);
+  xdb.EnableIntrospection();
+  QueryContext ctx;
+  ctx.deadline_seconds = 1e-9;  // cannot pay for parse + optimize
+  auto r = xdb.Query("SELECT label, status FROM xdb_stat.queries", ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("during introspection planning"),
+            std::string::npos)
+      << r.status().message();
+}
+
 // --- SQL surface over the system tables ---
 
 TEST_F(IntrospectFixture, JoinFilterAggregateIsDeterministic) {
