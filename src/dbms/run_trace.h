@@ -135,6 +135,21 @@ struct RunTrace {
   /// when an OperatorProfiler was attached to the executing server.
   std::vector<EstimateActual> estimates;
 
+  /// Folds the recovery trail of `earlier` — failed rounds of the same
+  /// query that ran before this one — into this trace: its retries go
+  /// first; backoff, injected delay, wasted seconds and per-server compute
+  /// add up.
+  void FoldRecovery(const RunTrace& earlier) {
+    retries.insert(retries.begin(), earlier.retries.begin(),
+                   earlier.retries.end());
+    total_backoff_seconds += earlier.total_backoff_seconds;
+    injected_delay_seconds += earlier.injected_delay_seconds;
+    wasted_attempt_seconds += earlier.wasted_attempt_seconds;
+    for (const auto& [srv, compute] : earlier.per_server) {
+      per_server[srv].Add(compute);
+    }
+  }
+
   /// Worst cardinality q-error across the ledger (0 when it is empty).
   double MaxQError() const {
     double q = 0;

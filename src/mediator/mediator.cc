@@ -1,11 +1,11 @@
 #include "src/mediator/mediator.h"
 
-#include <chrono>
 #include <optional>
 
 #include "src/sql/parser.h"
 #include "src/xdb/delegation_engine.h"
 #include "src/xdb/finalizer.h"
+#include "src/xdb/query_scope.h"
 
 namespace xdb {
 
@@ -20,14 +20,6 @@ const char* MediatorKindToString(MediatorKind kind) {
   }
   return "unknown";
 }
-
-namespace {
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 MediatorSystem::MediatorSystem(Federation* fed, MediatorKind kind,
                                MediatorOptions options)
@@ -140,97 +132,32 @@ Status MediatorSystem::AnnotateMw(PlanNode* node) const {
 }
 
 Result<XdbReport> MediatorSystem::Query(const std::string& sql) {
-  Result<XdbReport> result = QueryImpl(sql);
-  RecordQueryStats(sql, result);
-  return result;
-}
-
-void MediatorSystem::RecordQueryStats(const std::string& sql,
-                                      const Result<XdbReport>& result) {
-  QueryLog* qlog = fed_->query_log();
-  MetricsRegistry* metrics = fed_->metrics();
-  if (qlog == nullptr && metrics == nullptr) return;
-
-  QueryStats qs;
-  qs.system = MediatorKindToString(kind_);
-  qs.sql = sql;
-  qs.ok = result.ok();
-  if (result.ok()) {
-    const XdbReport& rep = *result;
-    qs.prep_seconds = rep.phases.prep;
-    qs.lopt_seconds = rep.phases.lopt;
-    qs.ann_seconds = rep.phases.ann;
-    qs.exec_seconds = rep.phases.exec;
-    qs.useful_bytes = rep.trace.UsefulTransferredBytes();
-    qs.wasted_bytes = rep.trace.WastedTransferredBytes();
-    qs.raw_bytes = rep.trace.TotalRawTransferredBytes();
-    qs.transfer_rows = rep.trace.TotalTransferredRows();
-    qs.transfers = static_cast<int>(rep.trace.transfers.size());
-    qs.retries = static_cast<int>(rep.trace.retries.size());
-    qs.recovery_action = rep.trace.recovery_action;
-    qs.partial = !rep.completeness.complete;
-    qs.completeness_fraction = rep.completeness.completeness_fraction;
-    qs.lost_fragments = static_cast<int>(rep.trace.lost_fragments.size());
-    TimingModel model(fed_, TimingOptions{options_.scale_up});
-    for (const auto& [srv, compute] : rep.trace.per_server) {
-      const DatabaseServer* server = fed_->GetServer(srv);
-      if (server == nullptr) continue;
-      qs.per_server_seconds[srv] =
-          model.ComputeSeconds(compute, server->profile(),
-                               /*free_network=*/false);
-    }
-  } else {
-    qs.error = result.status().message();
-  }
-
-  if (metrics != nullptr) {
-    std::string label =
-        qlog != nullptr && !qlog->next_label().empty() ? qlog->next_label()
-                                                       : "adhoc";
-    metrics
-        ->GetCounter("xdb_queries_total",
-                     {{"status", qs.ok ? "ok" : "error"}},
-                     "Top-level queries by final status")
-        ->Increment();
-    metrics
-        ->GetCounter("xdb_query_modelled_seconds_total", {{"query", label}},
-                     "Modelled end-to-end seconds per query label")
-        ->Increment(qs.total_seconds());
-  }
-  if (qlog != nullptr) qlog->Record(std::move(qs));
-}
-
-Result<XdbReport> MediatorSystem::QueryImpl(const std::string& sql) {
-  XdbReport report;
-  const double wall_start = NowSeconds();
   const int query_id = ++query_counter_;
-
   // Mediators share the deadline budget and partial-results machinery with
   // XDB (same retry and fetch paths under the hood) but have no failover:
   // an undeliverable fragment either degrades (allow_partial) or fails the
   // query outright.
-  fed_->ArmQueryBudget(options_.deadline_seconds, options_.allow_partial);
-  struct DisarmBudget {
-    Federation* fed;
-    ~DisarmBudget() { fed->DisarmQueryBudget(); }
-  } disarm_budget{fed_};
-
-  SpanRecorder* spans = fed_->span_recorder();
-  struct FinalizeSpans {
-    SpanRecorder* r;
-    ~FinalizeSpans() {
-      if (r != nullptr) r->FinalizeTimeline();
-    }
-  } finalize_spans{spans};
-  SpanGuard query_span(spans, "mediator query " + std::to_string(query_id));
-  if (Span* sp = query_span.span()) {
+  QueryContext ctx;
+  ctx.deadline_seconds = options_.deadline_seconds;
+  ctx.allow_partial = options_.allow_partial;
+  QueryScope scope(fed_, ctx, "mediator query ", query_id);
+  if (Span* sp = scope.span()) {
     sp->Tag("mediator", MediatorKindToString(kind_));
     sp->Tag("sql", sql);
   }
-  // Span *id* window, not an index: under ring-buffer retention ids are
-  // stable while positions shift.
-  const int64_t span_begin = spans != nullptr ? spans->next_id() : 0;
 
+  RunTrace fail_trace;
+  Result<XdbReport> result = QueryImpl(sql, query_id, &scope, &fail_trace);
+  if (result.ok()) result->wall_seconds = scope.WallSeconds();
+  RecordQueryStats(fed_, MediatorKindToString(kind_), options_.scale_up, sql,
+                   ctx.label, result, fail_trace);
+  return result;
+}
+
+Result<XdbReport> MediatorSystem::QueryImpl(const std::string& sql,
+                                            int query_id, QueryScope* scope,
+                                            RunTrace* fail_trace) {
+  XdbReport report;
   catalog_->ResetCounters();
 
   XDB_ASSIGN_OR_RETURN(sql::SelectPtr stmt, sql::ParseSelect(sql));
@@ -254,12 +181,8 @@ Result<XdbReport> MediatorSystem::QueryImpl(const std::string& sql) {
   XDB_RETURN_NOT_OK(AnnotateMw(plan.get()));
   report.phases.ann = 0;  // MW systems plan centrally — no consulting
 
-  fed_->ChargeBudget(report.phases.prep + report.phases.lopt);
-  if (fed_->RemainingBudget() == 0.0) {
-    return Status::Timeout("query deadline (" +
-                           std::to_string(options_.deadline_seconds) +
-                           "s of modelled time) exhausted during planning");
-  }
+  XDB_RETURN_NOT_OK(scope->Charge(report.phases.prep + report.phases.lopt,
+                                  "during planning"));
 
   XDB_ASSIGN_OR_RETURN(DelegationPlan dplan,
                        FinalizePlan(*plan, query_id, mediator_name_));
@@ -268,56 +191,28 @@ Result<XdbReport> MediatorSystem::QueryImpl(const std::string& sql) {
   // faults degrade them comparably) but no failover replanning — their
   // placement policy is fixed by design.
   DelegationEngine engine(connector_ptrs_, fed_);
-  fed_->BeginRun(dplan.tasks.back().server);
+  TimingModel model(fed_, TimingOptions{options_.scale_up});
+  scope->BeginRun(dplan.tasks.back().server);
   Result<XdbQuery> query = engine.Deploy(&dplan);
-  if (!query.ok()) {
-    fed_->FinishRun();
-    (void)engine.Cleanup();
-    return query.status();
-  }
-  DbmsConnector* root_dc = connector_ptrs_.at(query->server);
-  std::optional<Result<TablePtr>> exec_result;
-  {
-    SpanGuard exec_span(spans, "execute");
+  std::optional<Result<TablePtr>> result;
+  if (query.ok()) {
+    SpanGuard exec_span(scope->spans(), "execute");
     if (Span* sp = exec_span.span()) sp->Tag("server", query->server);
-    exec_result.emplace(root_dc->RunQuery(query->sql));
+    result.emplace(connector_ptrs_.at(query->server)->RunQuery(query->sql));
   }
-  Result<TablePtr>& result = *exec_result;
-  if (!result.ok()) {
-    fed_->FinishRun();
+  FinishedRun run = scope->FinishRun(model);
+  const Status& status = query.ok() ? result->status() : query.status();
+  if (!status.ok()) {
+    *fail_trace = std::move(run.trace);
+    fail_trace->recovery_action = "failed";
     (void)engine.Cleanup();
-    return result.status();
+    return status;
   }
-  report.trace = fed_->FinishRun();
+  report.trace = std::move(run.trace);
+  report.completeness = std::move(run.completeness);
   report.ddl_statements = engine.ddl_count();
   report.ddl_log = engine.ddl_log();
-
-  report.completeness.lost = report.trace.lost_fragments;
-  report.completeness.complete = report.trace.lost_fragments.empty();
-  if (!report.completeness.complete) {
-    double delivered = 0;
-    for (const auto& t : report.trace.transfers) {
-      if (!t.failed) delivered += 1;
-    }
-    const double lost =
-        static_cast<double>(report.trace.lost_fragments.size());
-    report.completeness.completeness_fraction = delivered / (delivered + lost);
-  }
-
-  TimingModel model(fed_, TimingOptions{options_.scale_up});
   report.exec_timing = model.ModelRun(report.trace);
-  if (spans != nullptr) {
-    // Attach modelled wire seconds to this query's transfer spans.
-    for (Span& s : spans->mutable_spans()) {
-      if (s.id < span_begin || s.record_id < 0) continue;
-      size_t idx = static_cast<size_t>(s.record_id);
-      if (idx < report.trace.transfers.size() &&
-          report.trace.transfers[idx].id == s.record_id) {
-        s.duration_seconds =
-            model.TransferSeconds(report.trace.transfers[idx]);
-      }
-    }
-  }
   // MW systems report "actual execution" the way the paper measures it:
   // mediator-local compute with subquery results preloaded.
   report.exec_timing.compute_only = model.LocalizedCompute(report.trace);
@@ -328,14 +223,13 @@ Result<XdbReport> MediatorSystem::QueryImpl(const std::string& sql) {
                        report.trace.total_backoff_seconds +
                        report.trace.injected_delay_seconds;
 
-  report.result = std::move(result).value();
+  report.result = std::move(*result).value();
   report.plan = std::move(dplan);
   report.xdb_query = *query;
 
   if (options_.cleanup_after_query) {
     XDB_RETURN_NOT_OK(engine.Cleanup());
   }
-  report.wall_seconds = NowSeconds() - wall_start;
   return report;
 }
 

@@ -11,6 +11,8 @@
 
 namespace xdb {
 
+class QueryScope;
+
 /// \brief Which mediator-wrapper baseline to emulate (paper Section VI).
 enum class MediatorKind {
   /// Garlic-like: a single PostgreSQL mediator with SQL/MED wrappers.
@@ -65,9 +67,9 @@ class MediatorSystem {
   MediatorSystem(Federation* fed, MediatorKind kind,
                  MediatorOptions options = {});
 
-  /// Runs a federated query through the mediator. Like XdbSystem::Query,
-  /// banks one QueryStats record (system = the mediator kind) when the
-  /// federation has a QueryLog attached.
+  /// Runs a federated query through the mediator. Shares XdbSystem::Query's
+  /// query scope and recorder: banks one QueryStats record (system = the
+  /// mediator kind) when the federation has a QueryLog attached.
   Result<XdbReport> Query(const std::string& sql);
 
   const std::string& mediator_name() const { return mediator_name_; }
@@ -76,9 +78,10 @@ class MediatorSystem {
  private:
   Status AnnotateMw(PlanNode* node) const;
 
-  Result<XdbReport> QueryImpl(const std::string& sql);
-  void RecordQueryStats(const std::string& sql,
-                        const Result<XdbReport>& result);
+  /// Query() minus the per-query scope and recording. On failure the run's
+  /// trace lands in `*fail_trace`.
+  Result<XdbReport> QueryImpl(const std::string& sql, int query_id,
+                              QueryScope* scope, RunTrace* fail_trace);
 
   Federation* fed_;
   MediatorKind kind_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <functional>
 #include <optional>
 #include <thread>
@@ -18,6 +17,7 @@
 #include "src/testing/fault_injector.h"
 #include "src/xdb/annotator.h"
 #include "src/xdb/finalizer.h"
+#include "src/xdb/query_scope.h"
 
 namespace xdb {
 
@@ -27,12 +27,6 @@ Dialect DialectForVendor(const std::string& vendor) {
   if (vendor == "mariadb") return Dialect::MariaDb();
   if (vendor == "hive") return Dialect::Hive();
   return Dialect::Postgres();
-}
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void HashCombine(uint64_t* h, uint64_t v) {
@@ -315,123 +309,23 @@ Result<XdbReport> XdbSystem::Query(const std::string& sql,
   // Tag every morsel this query submits so the shared pool round-robins
   // fairly across concurrent queries.
   ScopedQueryTag query_tag(static_cast<uint64_t>(query_id));
-  // A session-scoped span recorder (if any) applies to this thread only.
-  struct SpanOverride {
-    bool set;
-    explicit SpanOverride(SpanRecorder* r) : set(r != nullptr) {
-      if (set) Federation::SetThreadSpanRecorder(r);
-    }
-    ~SpanOverride() {
-      if (set) Federation::SetThreadSpanRecorder(nullptr);
-    }
-  } span_override(ctx.spans);
+  QueryScope scope(fed_, ctx, "query ", query_id);
+  if (Span* sp = scope.span()) sp->Tag("sql", sql);
 
   RunTrace fail_trace;
-  Result<XdbReport> result = QueryImpl(sql, ctx, query_id, &fail_trace);
+  Result<XdbReport> result = QueryImpl(sql, ctx, query_id, &scope, &fail_trace);
+  if (result.ok()) result->wall_seconds = scope.WallSeconds();
   {
     std::lock_guard<std::mutex> lock(trace_mu_);
     last_trace_ = result.ok() ? result->trace : fail_trace;
   }
-  RecordQueryStats(sql, result, fail_trace, ctx.label);
+  RecordQueryStats(fed_, "xdb", options_.scale_up, sql, ctx.label, result,
+                   fail_trace);
   return result;
 }
 
-void XdbSystem::RecordQueryStats(const std::string& sql,
-                                 const Result<XdbReport>& result,
-                                 const RunTrace& fail_trace,
-                                 const std::string& label_hint) {
-  QueryLog* qlog = fed_->query_log();
-  MetricsRegistry* metrics = fed_->metrics();
-  if (qlog == nullptr && metrics == nullptr) return;
-
-  QueryStats qs;
-  qs.system = "xdb";
-  qs.sql = sql;
-  qs.ok = result.ok();
-  // The trace of a failed query is the accumulated recovery trail; a
-  // successful one reports its winning round's trace.
-  const RunTrace& trace = result.ok() ? result->trace : fail_trace;
-  qs.useful_bytes = trace.UsefulTransferredBytes();
-  qs.wasted_bytes = trace.WastedTransferredBytes();
-  qs.raw_bytes = trace.TotalRawTransferredBytes();
-  qs.transfer_rows = trace.TotalTransferredRows();
-  qs.transfers = static_cast<int>(trace.transfers.size());
-  qs.retries = static_cast<int>(trace.retries.size());
-  qs.replan_rounds = trace.replan_rounds;
-  qs.recovery_action = trace.recovery_action;
-  qs.lost_fragments = static_cast<int>(trace.lost_fragments.size());
-  // Estimate-vs-actual ledger of the executed plan. A replanned query's
-  // trace is the winning round's, so these estimates belong to the plan
-  // that actually ran, never to an abandoned alternate.
-  qs.estimates = trace.estimates;
-  // Winning round's transfer records, verbatim, for `xdb_stat.transfers`.
-  qs.transfer_log = trace.transfers;
-  if (result.ok()) {
-    qs.prep_seconds = result->phases.prep;
-    qs.lopt_seconds = result->phases.lopt;
-    qs.ann_seconds = result->phases.ann;
-    qs.exec_seconds = result->phases.exec;
-    qs.plan_cache_hit = result->plan_cache_hit;
-    qs.partial = result->partial();
-    qs.completeness_fraction = result->completeness.completeness_fraction;
-  } else {
-    qs.error = result.status().message();
-    qs.exec_seconds = trace.wasted_attempt_seconds +
-                      trace.total_backoff_seconds +
-                      trace.injected_delay_seconds;
-  }
-  TimingModel model(fed_, TimingOptions{options_.scale_up});
-  for (const auto& [srv, compute] : trace.per_server) {
-    const DatabaseServer* server = fed_->GetServer(srv);
-    if (server == nullptr) continue;
-    qs.per_server_seconds[srv] =
-        model.ComputeSeconds(compute, server->profile(),
-                             /*free_network=*/false);
-  }
-  // Hot spots are available whenever profilers happen to be attached
-  // (EXPLAIN ANALYZE, benches); plain queries leave this empty.
-  for (const auto& name : fed_->ServerNames()) {
-    const DatabaseServer* server = fed_->GetServer(name);
-    const OperatorProfiler* prof = server->profiler();
-    if (prof == nullptr) continue;
-    for (const auto& rec : prof->records()) {
-      qs.hot_operators.emplace_back(
-          name + ": " + rec.label,
-          OperatorProfiler::ModelledSeconds(rec, server->profile(),
-                                            options_.scale_up));
-    }
-  }
-  std::stable_sort(qs.hot_operators.begin(), qs.hot_operators.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  if (qs.hot_operators.size() > 3) qs.hot_operators.resize(3);
-
-  // Label priority: explicit QueryContext label (sessions), then the
-  // log's pending next_label (single-threaded bench drivers; consumed by
-  // Record below since qs.label stays empty), then the catch-all bucket.
-  std::string label = label_hint;
-  if (label.empty() && qlog != nullptr) label = qlog->next_label();
-  if (label.empty()) label = "adhoc";
-  qs.label = label_hint;  // empty = let Record consume the pending hint
-  if (metrics != nullptr) {
-    // `{query=...}` stays bounded: an explicit hint (bench drivers label
-    // "Q5" etc.) or the single bucket "adhoc" — never raw SQL.
-    metrics
-        ->GetCounter("xdb_queries_total",
-                     {{"status", qs.ok ? "ok" : "error"}},
-                     "Top-level queries by final status")
-        ->Increment();
-    metrics
-        ->GetCounter("xdb_query_modelled_seconds_total", {{"query", label}},
-                     "Modelled end-to-end seconds per query label")
-        ->Increment(qs.total_seconds());
-  }
-  if (qlog != nullptr) qlog->Record(std::move(qs));
-}
-
 Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
-                                                   const QueryContext& ctx,
+                                                   const QueryScope& scope,
                                                    bool* handled) {
   *handled = false;
   Result<sql::SelectPtr> parsed = sql::ParseSelect(sql);
@@ -493,8 +387,7 @@ Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
     snapshots[table] = provider->Snapshot();
   }
 
-  SpanRecorder* spans = fed_->span_recorder();
-  SpanGuard introspect_span(spans, "introspect");
+  SpanGuard introspect_span(scope.spans(), "introspect");
   if (Span* sp = introspect_span.span()) {
     sp->Tag("snapshots", static_cast<int64_t>(snapshots.size()));
   }
@@ -512,13 +405,8 @@ Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
   report.phases.lopt =
       options_.lopt_base_cost +
       options_.lopt_per_join_cost * static_cast<double>(njoins);
-  fed_->ChargeBudget(report.phases.prep + report.phases.lopt);
-  if (ctx.deadline_seconds > 0 && fed_->RemainingBudget() == 0.0) {
-    return Status::Timeout("query deadline (" +
-                           std::to_string(ctx.deadline_seconds) +
-                           "s of modelled time) exhausted during "
-                           "introspection planning");
-  }
+  XDB_RETURN_NOT_OK(scope.Charge(report.phases.prep + report.phases.lopt,
+                                 "during introspection planning"));
 
   // Execute on the middleware node with the normal vectorized executor.
   // No delegation, no DDL, no transfers — phases.ann and phases.exec stay
@@ -537,44 +425,14 @@ Result<XdbReport> XdbSystem::RunIntrospectionQuery(const std::string& sql,
 
 Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
                                        const QueryContext& ctx, int query_id,
+                                       QueryScope* scope,
                                        RunTrace* fail_trace) {
   XdbReport report;
-  const double wall_start = NowSeconds();
-
-  // Reset up front, not at execution start: a query failing in parse or
-  // prepare must not report the previous query's recovery trail (or bank
-  // its bytes into the query log).
-  *fail_trace = RunTrace();
-
-  // Arm this thread's modelled-time budget + partial-results policy. Retry
-  // backoff and injected delay charge automatically; planning phases and
-  // failed failover rounds are charged explicitly below. Disarmed on every
-  // exit path.
-  fed_->ArmQueryBudget(ctx.deadline_seconds, ctx.allow_partial);
-  struct DisarmBudget {
-    Federation* fed;
-    ~DisarmBudget() { fed->DisarmQueryBudget(); }
-  } disarm_budget{fed_};
-  auto budget_exhausted = [this] { return fed_->RemainingBudget() == 0.0; };
-  auto deadline_status = [&](const std::string& where) {
-    return Status::Timeout("query deadline (" +
-                           std::to_string(ctx.deadline_seconds) +
-                           "s of modelled time) exhausted " + where);
-  };
-
   GlobalCatalog::ResetThreadRoundtrips();
 
   // Observability is opt-in per federation; `spans == nullptr` keeps every
   // hook below at one pointer compare and never changes modelled results.
-  SpanRecorder* spans = fed_->span_recorder();
-  struct FinalizeSpans {
-    SpanRecorder* r;
-    ~FinalizeSpans() {
-      if (r != nullptr) r->FinalizeTimeline();
-    }
-  } finalize_spans{spans};
-  SpanGuard query_span(spans, "query " + std::to_string(query_id));
-  if (Span* sp = query_span.span()) sp->Tag("sql", sql);
+  SpanRecorder* spans = scope->spans();
 
   // --- `xdb_stat.*` system tables: mediator-local, before everything. ---
   // Routed ahead of the health consult and the plan-cache probe so an
@@ -583,11 +441,8 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
   // the only cost non-users pay — and only once introspection was enabled.
   if (introspect_ != nullptr && MentionsXdbStat(sql)) {
     bool handled = false;
-    Result<XdbReport> r = RunIntrospectionQuery(sql, ctx, &handled);
-    if (handled) {
-      if (r.ok()) r->wall_seconds = NowSeconds() - wall_start;
-      return r;
-    }
+    Result<XdbReport> r = RunIntrospectionQuery(sql, *scope, &handled);
+    if (handled) return r;
     // Parsed but referenced no xdb_stat relation (the qualifier sat in a
     // string literal) — fall through to the federation pipeline.
   }
@@ -688,40 +543,23 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
 
   // Preparation + logical optimization count against the deadline; failing
   // here (rather than deep in a replan round) is the fail-fast path.
-  fed_->ChargeBudget(report.phases.prep + report.phases.lopt);
-  if (budget_exhausted()) return deadline_status("during preparation");
+  XDB_RETURN_NOT_OK(scope->Charge(report.phases.prep + report.phases.lopt,
+                                  "during preparation"));
 
   // --- Plan annotation + delegation + execution, with failover. ---
   // A retryable failure (node down, link dead) excludes the implicated
   // placement/link and re-runs annotation + deployment on a fresh clone of
   // the logical plan, up to max_failover_alternates alternate rounds. The
   // recovery trail of failed rounds accumulates into the final trace.
-  RunTrace accum;  // recovery observed across failed rounds
+  RunTrace accum;  // the last failed round, carrying every failed round's
+                   // recovery trail
   Status final_status = Status::OK();
   bool deadline_hit = false;  // deadline ended the failover loop
   const int max_rounds = std::max(0, options_.max_failover_alternates);
   TimingModel model(fed_, TimingOptions{options_.scale_up});
 
-  // Once a round's trace is final, give its transfer spans the modelled
-  // wire seconds (spans carry the record id; ids restart every round, so
-  // only spans with id >= `begin_id` are matched against `tr`). The window
-  // is a span *id*, not an index: under ring-buffer retention ids are
-  // stable while positions shift.
-  auto attach_transfer_seconds = [&](int64_t begin_id, const RunTrace& tr) {
-    if (spans == nullptr) return;
-    for (Span& s : spans->mutable_spans()) {
-      if (s.id < begin_id || s.record_id < 0) continue;
-      size_t idx = static_cast<size_t>(s.record_id);
-      if (idx < tr.transfers.size() &&
-          tr.transfers[idx].id == s.record_id) {
-        s.duration_seconds = model.TransferSeconds(tr.transfers[idx]);
-      }
-    }
-  };
-
-  for (int round = 0;; ++round) {
-    const int64_t round_span_begin =
-        spans != nullptr ? spans->next_id() : 0;
+  int round = 0;
+  for (;; ++round) {
     SpanGuard round_span(spans, "round " + std::to_string(round));
     // Hit path, round 0: the cached clone is already annotated — no
     // consultations, no "annotate" span. Failover rounds (and the miss
@@ -752,17 +590,18 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
       // DBMSes.
       report.phases.ann +=
           annotator.consultations() * options_.consultation_cost;
-      fed_->ChargeBudget(annotator.consultations() *
-                         options_.consultation_cost);
+      Status deadline =
+          scope->Charge(annotator.consultations() * options_.consultation_cost,
+                        "during plan annotation");
       if (!ann_st.ok()) {
         // Exclusions emptied the candidate set (kUnavailable) or the plan
         // is unannotatable outright — nothing left to try either way.
         final_status = std::move(ann_st);
         break;
       }
-      if (budget_exhausted()) {
+      if (!deadline.ok()) {
         deadline_hit = true;
-        final_status = deadline_status("during plan annotation");
+        final_status = std::move(deadline);
         break;
       }
       // First successful unconstrained annotation: this plan is the one
@@ -792,7 +631,7 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
     const std::string round_root = dplan.tasks.back().server;
 
     DelegationEngine engine(connector_ptrs_, fed_);
-    fed_->BeginRun(round_root);
+    scope->BeginRun(round_root);
     std::optional<Result<XdbQuery>> deploy_result;
     {
       SpanGuard deploy_span(spans, "deploy");
@@ -842,21 +681,16 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
         fed_->network().RecordTransfer(xdb_query->server,
                                        options_.middleware_node, result_bytes,
                                        1, enc_wire);
-        report.trace = fed_->FinishRun();
-
-        // Fold the failed rounds' recovery trail into the winning trace.
-        report.trace.retries.insert(report.trace.retries.begin(),
-                                    accum.retries.begin(),
-                                    accum.retries.end());
-        report.trace.total_backoff_seconds += accum.total_backoff_seconds;
-        report.trace.injected_delay_seconds += accum.injected_delay_seconds;
-        report.trace.wasted_attempt_seconds += accum.wasted_attempt_seconds;
+        // Completeness over the winning round only: a fragment lost in a
+        // *failed* round was re-fetched by the replan, so it doesn't make
+        // the result incomplete.
+        FinishedRun run = scope->FinishRun(model);
+        report.trace = std::move(run.trace);
+        report.completeness = std::move(run.completeness);
         // Compute spent serving failed rounds' transfers really happened on
-        // those servers — fold it into the per-server totals (it is already
+        // those servers, so it stays on the per-server totals (it is already
         // part of wasted_attempt_seconds on the time side).
-        for (const auto& [srv, compute] : accum.per_server) {
-          report.trace.per_server[srv].Add(compute);
-        }
+        report.trace.FoldRecovery(accum);
         report.trace.replan_rounds = round;
         report.trace.excluded_servers.assign(
             constraints.excluded_servers.begin(),
@@ -866,27 +700,9 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
           report.trace.recovery_action = "replanned";
         }
 
-        // Completeness over the winning round only: a fragment lost in a
-        // *failed* round was re-fetched by the replan, so it doesn't make
-        // the result incomplete. Fragment-count based — est_rows of lost
-        // fragments are estimates, not ground truth.
-        report.completeness.lost = report.trace.lost_fragments;
-        report.completeness.complete = report.trace.lost_fragments.empty();
-        if (!report.completeness.complete) {
-          double delivered = 0;
-          for (const auto& t : report.trace.transfers) {
-            if (!t.failed) delivered += 1;
-          }
-          const double lost =
-              static_cast<double>(report.trace.lost_fragments.size());
-          report.completeness.completeness_fraction =
-              delivered / (delivered + lost);
-        }
-
         report.ddl_statements = engine.ddl_count();
         report.ddl_log = engine.ddl_log();
         report.exec_timing = model.ModelRun(report.trace);
-        attach_transfer_seconds(round_span_begin, report.trace);
         if (spans != nullptr && exec_span_id >= 0) {
           spans->mutable_span(exec_span_id)->duration_seconds =
               report.exec_timing.total;
@@ -911,7 +727,6 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
         if (options_.cleanup_after_query) {
           XDB_RETURN_NOT_OK(engine.Cleanup());
         }
-        report.wall_seconds = NowSeconds() - wall_start;
         return report;
       }
       // Execution failed after a successful deploy: roll the cascade back
@@ -921,35 +736,27 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
     }
 
     // This round is lost. Bank its recovery trail and its modelled cost.
-    RunTrace failed = fed_->FinishRun();
-    attach_transfer_seconds(round_span_begin, failed);
-    accum.retries.insert(accum.retries.end(), failed.retries.begin(),
-                         failed.retries.end());
-    accum.total_backoff_seconds += failed.total_backoff_seconds;
-    accum.injected_delay_seconds += failed.injected_delay_seconds;
-    // Per-server compute of the lost round: the servers really did that
-    // work to serve the round's transfers, so it stays on their totals.
-    for (const auto& [srv, compute] : failed.per_server) {
-      accum.per_server[srv].Add(compute);
-    }
+    RunTrace failed = scope->FinishRun(model).trace;
     const double round_cost = model.ModelRun(failed).total +
                               engine.ddl_count() * options_.ddl_roundtrip_cost;
-    accum.wasted_attempt_seconds += round_cost;
+    failed.FoldRecovery(accum);
+    failed.wasted_attempt_seconds += round_cost;
+    accum = std::move(failed);
     // Backoff and injected delay already charged themselves as they
     // happened; the round's modelled execution time charges here.
-    fed_->ChargeBudget(round_cost);
+    Status deadline = scope->Charge(
+        round_cost, "after " + std::to_string(round + 1) +
+                        " round(s): " + run_status.message());
 
     if (!run_status.IsRetryable() || round >= max_rounds) {
       final_status = std::move(run_status);
       break;
     }
-    if (budget_exhausted()) {
+    if (!deadline.ok()) {
       // Fail fast with kTimeout instead of burning further replan rounds
       // the deadline can no longer pay for.
       deadline_hit = true;
-      final_status = deadline_status(
-          "after " + std::to_string(round + 1) + " round(s): " +
-          run_status.message());
+      final_status = std::move(deadline);
       break;
     }
 
@@ -986,21 +793,22 @@ Result<XdbReport> XdbSystem::QueryImpl(const std::string& sql,
       final_status = std::move(run_status);
       break;
     }
-    accum.replan_rounds = round + 1;
   }
 
   // Every alternate exhausted (or the failure was terminal). Preserve the
-  // recovery trail and name what was unavailable.
-  accum.recovery_action = "failed";
-  accum.excluded_servers.assign(constraints.excluded_servers.begin(),
-                                constraints.excluded_servers.end());
-  fed_->CountReplanRounds(accum.replan_rounds);
+  // recovery trail — no failed round's transfers — and name what was
+  // unavailable.
+  fail_trace->FoldRecovery(accum);
+  fail_trace->replan_rounds = round;
+  fail_trace->recovery_action = "failed";
+  fail_trace->excluded_servers.assign(constraints.excluded_servers.begin(),
+                                      constraints.excluded_servers.end());
+  fed_->CountReplanRounds(round);
   if (!constraints.empty()) {
     // Even a failed query learned that some placements are bad — cached
     // plans that might route through them must not be served again.
     placement_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
-  *fail_trace = std::move(accum);
   // A deadline timeout surfaces as kTimeout untouched — callers (and
   // tests) distinguish "out of budget" from "ran out of alternates".
   if (!deadline_hit && final_status.IsRetryable() && !constraints.empty()) {

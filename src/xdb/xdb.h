@@ -16,6 +16,7 @@
 namespace xdb {
 
 class IntrospectionRegistry;
+class QueryScope;
 class SessionManager;
 
 /// \brief Knobs for the XDB middleware.
@@ -233,19 +234,12 @@ class XdbSystem {
  private:
   double Rtt(const std::string& server) const;
 
-  /// Query() minus the history/metrics bookkeeping (every early return of
-  /// the pipeline funnels through the public wrapper). On failure the
+  /// Query() minus the per-query scope and recording (every early return
+  /// of the pipeline funnels through the public wrapper). On failure the
   /// accumulated recovery trail lands in `*fail_trace`.
   Result<XdbReport> QueryImpl(const std::string& sql,
                               const QueryContext& ctx, int query_id,
-                              RunTrace* fail_trace);
-
-  /// Banks one QueryStats into the federation's QueryLog and bumps the
-  /// labeled query counters. No-op when neither sink is attached.
-  void RecordQueryStats(const std::string& sql,
-                        const Result<XdbReport>& result,
-                        const RunTrace& fail_trace,
-                        const std::string& label);
+                              QueryScope* scope, RunTrace* fail_trace);
 
   /// Bumps xdb_plan_cache_{hits,misses,evictions}_total when a registry is
   /// attached (evictions may be 0).
@@ -260,7 +254,7 @@ class XdbSystem {
   /// to the federation pipeline) when the statement parses but references
   /// no xdb_stat relation after all.
   Result<XdbReport> RunIntrospectionQuery(const std::string& sql,
-                                          const QueryContext& ctx,
+                                          const QueryScope& scope,
                                           bool* handled);
 
   Federation* fed_;
